@@ -25,7 +25,7 @@ from .graded import (GradedSpace, Grading, MultiOp, Vector, Word, comultiply,
                      compositions, geometric_extend, koszul_apply, sandwich,
                      sign)
 from .linalg import solve_field
-from .report import FAIL, PASS, CheckReport, Timer
+from .report import FAIL, PASS, CheckReport
 from .rings import Ring
 
 
@@ -141,6 +141,34 @@ def impose_unit_laws(A_space: GradedSpace, unit: str, b: MultiOp) -> MultiOp:
     return out
 
 
+def _square_zero_failures(words: Iterable,
+                          coderivation: Callable[[Any], Vector],
+                          whole: Callable[[Vector], Vector],
+                          square: Callable[[Vector], Vector]
+                          ) -> Dict[str, Tuple]:
+    """The first failure of each of the two code paths of a structure
+    relation, word by word.
+
+    On every word w the coderivation value B(w) feeds path "b(B)", ``whole``
+    applied to it, and path "B^2", ``square`` applied to it.  The result
+    maps each failed path to its witness (w, "0", value) at the first word
+    where it is nonzero, in the order the failures occurred; the two paths
+    agree when both or neither failed.
+    """
+    paths = (("b(B)", whole), ("B^2", square))
+    first_fail: Dict[str, Tuple] = {}
+    for w in words:
+        bw = coderivation(w)
+        for key, path in paths:
+            if key not in first_fail:
+                v = path(bw)
+                if not v.is_zero():
+                    first_fail[key] = (w, "0", v)
+        if len(first_fail) == len(paths):
+            break
+    return first_fail
+
+
 def check_algebra(A: AInfAlgebra, word_cap: int) -> CheckReport:
     """Structure relation through both code paths on words up to the cap.
 
@@ -148,25 +176,17 @@ def check_algebra(A: AInfAlgebra, word_cap: int) -> CheckReport:
     records whether the two verdicts agree (they must; a disagreement is an
     internal inconsistency, surfaced in the details rather than hidden).
     """
-    with Timer() as t:
-        rep = CheckReport("algebra", "b(B) = 0 and B^2 = 0", word_cap)
-        first_fail = {}
-        for w in A.words(word_cap):
-            v1 = A.b_whole(A.B(w))
-            if not v1.is_zero() and "b(B)" not in first_fail:
-                first_fail["b(B)"] = (w, "0", v1)
-            v2 = A.B_vector(A.B(w))
-            if not v2.is_zero() and "B^2" not in first_fail:
-                first_fail["B^2"] = (w, "0", v2)
-        agree = ("b(B)" in first_fail) == ("B^2" in first_fail)
-        rep.details["paths_agree"] = agree
-        rep.details["unit_laws"] = check_unit_laws(A).verdict
-        if first_fail:
-            rep.fail(next(iter(first_fail.values())))
-        if not agree:
-            rep.verdict = FAIL
-            rep.details["inconsistency"] = first_fail
-    rep.seconds = t.seconds
+    rep = CheckReport("algebra", "b(B) = 0 and B^2 = 0", word_cap)
+    first_fail = _square_zero_failures(A.words(word_cap), A.B, A.b_whole,
+                                       A.B_vector)
+    agree = ("b(B)" in first_fail) == ("B^2" in first_fail)
+    rep.details["paths_agree"] = agree
+    rep.details["unit_laws"] = check_unit_laws(A).verdict
+    if first_fail:
+        rep.fail(next(iter(first_fail.values())))
+    if not agree:
+        rep.verdict = FAIL
+        rep.details["inconsistency"] = first_fail
     return rep
 
 
@@ -205,11 +225,6 @@ def m_from_b(space: GradedSpace, b: MultiOp) -> Dict[Word, Vector]:
         if not val.is_zero():
             out[w] = val
     return out
-
-
-def classical_degree(space: GradedSpace, i: int) -> int:
-    """The unshifted operation m_i has degree 2 - i."""
-    return 2 - i
 
 
 # ---------------------------------------------------------------------------
@@ -256,18 +271,16 @@ class AInfMorphism:
 
 def check_morphism(f: AInfMorphism, word_cap: int) -> CheckReport:
     """B' F - F B = 0 on words up to the cap, plus the unit laws."""
-    with Timer() as t:
-        rep = CheckReport("morphism", "B'F = FB", word_cap)
-        rep.details["unit_laws"] = f.check_unit().verdict
-        if rep.details["unit_laws"] != PASS:
-            rep.fail(("unit-laws", None, None))
-        for w in f.source.words(word_cap):
-            lhs = f.target.B_vector(f.extended(w))
-            rhs = f.extended_vector(f.source.B(w))
-            if lhs != rhs:
-                rep.fail((w, rhs, lhs))
-                break
-    rep.seconds = t.seconds
+    rep = CheckReport("morphism", "B'F = FB", word_cap)
+    rep.details["unit_laws"] = f.check_unit().verdict
+    if rep.details["unit_laws"] != PASS:
+        rep.fail(("unit-laws", None, None))
+    for w in f.source.words(word_cap):
+        lhs = f.target.B_vector(f.extended(w))
+        rhs = f.extended_vector(f.source.B(w))
+        if lhs != rhs:
+            rep.fail((w, rhs, lhs))
+            break
     return rep
 
 
@@ -340,31 +353,20 @@ def invert_morphism_data(f: AInfMorphism, arity_cap: int) -> AInfMorphism:
                 if len(split) == ell:
                     continue  # the all-singletons term being solved for
                 letters = Vector.basis(ring, ())
-                ok = True
                 for blk in split:
                     img = f.f.apply(blk)
                     if img.is_zero():
-                        ok = False
                         break
-                    nxt = Vector(ring)
-                    for w1, c1 in letters.terms.items():
-                        for w2, c2 in img.terms.items():
-                            nxt.add_term(w1 + w2, ring.mul(c1, c2))
-                    letters = nxt
-                if not ok:
-                    continue
-                acc = acc + partial.f.apply_vector(letters)
+                    letters = letters.concat(img)
+                else:
+                    acc = acc + partial.f.apply_vector(letters)
             if not acc.is_zero():
                 residue[w] = -acc
         # g_l = R_l o (f_1^{-1})^{(x)l}
         for wt in f.target.words(ell, min_len=ell):
             pre = Vector.basis(ring, ())
             for y in wt:
-                nxt = Vector(ring)
-                for w1, c1 in pre.terms.items():
-                    for w2, c2 in g1[y].terms.items():
-                        nxt.add_term(w1 + w2, ring.mul(c1, c2))
-                pre = nxt
+                pre = pre.concat(g1[y])
             val = Vector(ring)
             for w, c in pre.terms.items():
                 r = residue.get(w)
@@ -384,7 +386,9 @@ def twist_algebra(A: AInfAlgebra, f: AInfMorphism, arity_cap: int) -> AInfAlgebr
     ``f`` must be unital endomorphism data on A's underlying space (with
     invertible arity-one part); the result is exact up to ``arity_cap``.
     """
-    g = invert_morphism_data(f, arity_cap + f.arity_cap)
+    # F never lengthens a word and B adds at most one letter (through b_0),
+    # so the inverse is needed up to one arity past the cap
+    g = invert_morphism_data(f, arity_cap + 1)
     b2 = MultiOp(A.ring, 1, arity_cap)
     for w in A.words(arity_cap):
         val = g.f.apply_vector(A.B_vector(f.extended(w)))
@@ -500,28 +504,21 @@ def module_b_whole(M: ModuleLike, vec: Vector) -> Vector:
 
 def check_module(M: ModuleLike, cap: int, check_units: bool = True) -> CheckReport:
     """Structure relation b^M(B^M) = 0 and (B^M)^2 = 0, two code paths."""
-    with Timer() as t:
-        rep = CheckReport("module", "b^M(B^M) = 0 and (B^M)^2 = 0", cap)
-        first_fail = {}
-        for m, alpha in module_words(M, cap):
-            bm = module_coderivation(M, m, alpha)
-            v1 = module_b_whole(M, bm)
-            if not v1.is_zero() and "b(B)" not in first_fail:
-                first_fail["b(B)"] = ((m, alpha), "0", v1)
-            v2 = module_coderivation_vector(M, bm)
-            if not v2.is_zero() and "B^2" not in first_fail:
-                first_fail["B^2"] = ((m, alpha), "0", v2)
-        rep.details["paths_agree"] = (("b(B)" in first_fail)
-                                      == ("B^2" in first_fail))
-        if check_units:
-            rep.details["unit_laws"] = check_module_units(M, cap).verdict
-            if rep.details["unit_laws"] != PASS:
-                rep.fail(("unit-laws", None, None))
-        if first_fail:
-            rep.fail(next(iter(first_fail.values())))
-        if not rep.details["paths_agree"]:
-            rep.verdict = FAIL
-    rep.seconds = t.seconds
+    rep = CheckReport("module", "b^M(B^M) = 0 and (B^M)^2 = 0", cap)
+    first_fail = _square_zero_failures(
+        module_words(M, cap), lambda mw: module_coderivation(M, *mw),
+        lambda vec: module_b_whole(M, vec),
+        lambda vec: module_coderivation_vector(M, vec))
+    rep.details["paths_agree"] = (("b(B)" in first_fail)
+                                  == ("B^2" in first_fail))
+    if check_units:
+        rep.details["unit_laws"] = check_module_units(M, cap).verdict
+        if rep.details["unit_laws"] != PASS:
+            rep.fail(("unit-laws", None, None))
+    if first_fail:
+        rep.fail(next(iter(first_fail.values())))
+    if not rep.details["paths_agree"]:
+        rep.verdict = FAIL
     return rep
 
 
@@ -580,9 +577,6 @@ class HomElement:
                 out.add_term((n, alpha[j:]), c)
         return out
 
-    def operator_vector(self, vec: Vector) -> Vector:
-        return vec.bind(lambda mw: self.operator(mw[0], mw[1]))
-
     def support_min(self) -> Optional[int]:
         lens = {len(k[1]) for k in self.table}
         return min(lens) if lens else None
@@ -605,10 +599,6 @@ class HomElement:
     def negated(self) -> "HomElement":
         return HomElement(self.source, self.target, self.degree,
                           {k: -v for k, v in self.table.items()}, self.cap)
-
-    def is_zero_below(self, arity: int) -> bool:
-        return all(len(k[1]) >= arity or v.is_zero()
-                   for k, v in self.table.items())
 
 
 def identity_hom(M: ModuleLike, cap: int) -> HomElement:
@@ -648,16 +638,14 @@ def compose_hom(psi: HomElement, phi: HomElement,
 
 def check_module_morphism(phi: HomElement, cap: int) -> CheckReport:
     """A degree-0 closed hom element is a module morphism."""
-    with Timer() as t:
-        rep = CheckReport("module-morphism", "[B, phi] = 0", cap)
-        if phi.degree != 0:
-            rep.fail(("degree", 0, phi.degree))
-        d = hom_differential(phi, cap)
-        for k, v in d.table.items():
-            if not v.is_zero():
-                rep.fail((k, "0", v))
-                break
-    rep.seconds = t.seconds
+    rep = CheckReport("module-morphism", "[B, phi] = 0", cap)
+    if phi.degree != 0:
+        rep.fail(("degree", 0, phi.degree))
+    d = hom_differential(phi, cap)
+    for k, v in d.table.items():
+        if not v.is_zero():
+            rep.fail((k, "0", v))
+            break
     return rep
 
 
@@ -744,28 +732,21 @@ def bimodule_b_whole(V: BimoduleLike, vec: Vector) -> Vector:
 
 
 def check_bimodule(V: BimoduleLike, cap: int, strict_unit: bool = True) -> CheckReport:
-    with Timer() as t:
-        rep = CheckReport("bimodule", "b^V(B^V) = 0 and (B^V)^2 = 0", cap)
-        first_fail = {}
-        for alpha, v, alpha2 in bimodule_words(V, cap):
-            bv = bimodule_coderivation(V, alpha, v, alpha2)
-            v1 = bimodule_b_whole(V, bv)
-            if not v1.is_zero() and "b(B)" not in first_fail:
-                first_fail["b(B)"] = ((alpha, v, alpha2), "0", v1)
-            v2 = bimodule_coderivation_vector(V, bv)
-            if not v2.is_zero() and "B^2" not in first_fail:
-                first_fail["B^2"] = ((alpha, v, alpha2), "0", v2)
-        rep.details["paths_agree"] = (("b(B)" in first_fail)
-                                      == ("B^2" in first_fail))
-        if strict_unit:
-            rep.details["unit_laws"] = check_bimodule_units(V, cap).verdict
-            if rep.details["unit_laws"] != PASS:
-                rep.fail(("unit-laws", None, None))
-        if first_fail:
-            rep.fail(next(iter(first_fail.values())))
-        if not rep.details["paths_agree"]:
-            rep.verdict = FAIL
-    rep.seconds = t.seconds
+    rep = CheckReport("bimodule", "b^V(B^V) = 0 and (B^V)^2 = 0", cap)
+    first_fail = _square_zero_failures(
+        bimodule_words(V, cap), lambda w: bimodule_coderivation(V, *w),
+        lambda vec: bimodule_b_whole(V, vec),
+        lambda vec: bimodule_coderivation_vector(V, vec))
+    rep.details["paths_agree"] = (("b(B)" in first_fail)
+                                  == ("B^2" in first_fail))
+    if strict_unit:
+        rep.details["unit_laws"] = check_bimodule_units(V, cap).verdict
+        if rep.details["unit_laws"] != PASS:
+            rep.fail(("unit-laws", None, None))
+    if first_fail:
+        rep.fail(next(iter(first_fail.values())))
+    if not rep.details["paths_agree"]:
+        rep.verdict = FAIL
     return rep
 
 
@@ -848,44 +829,42 @@ class CurvedDga:
 def curved_dga_axioms(D: CurvedDga, word_cap: int = 3) -> CheckReport:
     """dc = 0, d^2 = [c,-], Leibniz, associativity, unitality of e, de = 0;
     cross-checked against the structure relation of the induced family."""
-    with Timer() as t:
-        rep = CheckReport("curved-dga", "dc=0, d^2=[c,-], Leibniz, assoc, "
-                          "unit", word_cap)
-        R = D.ring
-        e = D.element(D.unit)
-        if not D.d(e).is_zero():
-            rep.fail(("de", "0", D.d(e)))
-        if not D.d(D.curvature).is_zero():
-            rep.fail(("dc", "0", D.d(D.curvature)))
-        for x in D.space.names:
-            a = D.element(x)
-            lhs = D.d(D.d(a))
-            rhs = D.mul(D.curvature, a) - D.mul(a, D.curvature)
+    rep = CheckReport("curved-dga", "dc=0, d^2=[c,-], Leibniz, assoc, "
+                      "unit", word_cap)
+    R = D.ring
+    e = D.element(D.unit)
+    if not D.d(e).is_zero():
+        rep.fail(("de", "0", D.d(e)))
+    if not D.d(D.curvature).is_zero():
+        rep.fail(("dc", "0", D.d(D.curvature)))
+    for x in D.space.names:
+        a = D.element(x)
+        lhs = D.d(D.d(a))
+        rhs = D.mul(D.curvature, a) - D.mul(a, D.curvature)
+        if lhs != rhs:
+            rep.fail((("d^2", x), rhs, lhs))
+        if D.mul(e, a) != a:
+            rep.fail((("e*", x), a, D.mul(e, a)))
+        if D.mul(a, e) != a:
+            rep.fail((("*e", x), a, D.mul(a, e)))
+    for x in D.space.names:
+        for y in D.space.names:
+            a, b = D.element(x), D.element(y)
+            lhs = D.d(D.mul(a, b))
+            s = R.from_int(sign(D.space.parity(x)))
+            rhs = D.mul(D.d(a), b) + D.mul(a, D.d(b)).scaled(s)
             if lhs != rhs:
-                rep.fail((("d^2", x), rhs, lhs))
-            if D.mul(e, a) != a:
-                rep.fail((("e*", x), a, D.mul(e, a)))
-            if D.mul(a, e) != a:
-                rep.fail((("*e", x), a, D.mul(a, e)))
-        for x in D.space.names:
-            for y in D.space.names:
-                a, b = D.element(x), D.element(y)
-                lhs = D.d(D.mul(a, b))
-                s = R.from_int(sign(D.space.parity(x)))
-                rhs = D.mul(D.d(a), b) + D.mul(a, D.d(b)).scaled(s)
-                if lhs != rhs:
-                    rep.fail((("leibniz", x, y), rhs, lhs))
-                for z in D.space.names:
-                    c = D.element(z)
-                    if D.mul(D.mul(a, b), c) != D.mul(a, D.mul(b, c)):
-                        rep.fail((("assoc", x, y, z), None, None))
-        shifted = check_algebra(D.algebra, word_cap)
-        rep.details["structure_relation"] = shifted.verdict
-        if shifted.verdict != rep.verdict:
-            # the classical axioms and the shifted-side relation must agree
-            rep.details["paths_agree"] = False
-            rep.verdict = FAIL
-        else:
-            rep.details["paths_agree"] = True
-    rep.seconds = t.seconds
+                rep.fail((("leibniz", x, y), rhs, lhs))
+            for z in D.space.names:
+                c = D.element(z)
+                if D.mul(D.mul(a, b), c) != D.mul(a, D.mul(b, c)):
+                    rep.fail((("assoc", x, y, z), None, None))
+    shifted = check_algebra(D.algebra, word_cap)
+    rep.details["structure_relation"] = shifted.verdict
+    if shifted.verdict != rep.verdict:
+        # the classical axioms and the shifted-side relation must agree
+        rep.details["paths_agree"] = False
+        rep.verdict = FAIL
+    else:
+        rep.details["paths_agree"] = True
     return rep

@@ -165,6 +165,16 @@ class Vector:
                 out.add_term(w2, self.ring.mul(c, c2))
         return out
 
+    def concat(self, other: "Vector") -> "Vector":
+        """The concatenation product: sum of c1*c2 (w1 + w2) over the terms
+        c1*w1 of this vector and c2*w2 of the other."""
+        ring = self.ring
+        out = Vector(ring)
+        for w1, c1 in self.terms.items():
+            for w2, c2 in other.terms.items():
+                out.add_term(w1 + w2, ring.mul(c1, c2))
+        return out
+
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -258,12 +268,9 @@ def koszul_apply(ops: Sequence[Tuple[int, Callable[[Word], Vector]]],
         prefix_parity = (prefix_parity + block_parity(block)) % 2
     out = Vector.basis(ring, (), ring.from_int(sign(s)))
     for (_, fn), block in zip(ops, blocks):
-        piece = fn(block)
-        nxt = Vector(ring)
-        for w1, c1 in out.terms.items():
-            for w2, c2 in piece.terms.items():
-                nxt.add_term(w1 + w2, ring.mul(c1, c2))
-        out = nxt
+        out = out.concat(fn(block))
+        if out.is_zero():
+            break
     return out
 
 
@@ -284,20 +291,12 @@ def sandwich(op: MultiOp, word: Word,
         s = ring.from_int(sign(op.degree * pref_par))
         top = min(op.arity_cap, n - i)
         for ln in range(max(min_arity, 0), top + 1):
-            block = word[i:i + ln]
-            if ln == 0 and i == n + 1:
-                continue
-            mid = op.apply(block)
+            mid = op.apply(word[i:i + ln])
             if mid.is_zero():
                 continue
             for w2, c2 in mid.terms.items():
                 out.add_term(word[:i] + w2 + word[i + ln:], ring.mul(s, c2))
     return out
-
-
-def sandwich_vector(op: MultiOp, vec: Vector,
-                     letter_parity: Callable[[str], int]) -> Vector:
-    return vec.bind(lambda w: sandwich(op, w, letter_parity))
 
 
 def compositions(word: Word, max_block: int,
@@ -329,7 +328,7 @@ def geometric_extend(op: MultiOp, word: Word,
     itself.  Families with an arity-0 entry are refused (the series would not
     terminate)."""
     ring = op.ring
-    if 0 in op.arities():
+    if () in op.table:
         raise ValueError("geometric series of a family with an arity-0 part")
     if not word:
         return Vector.basis(ring, ())

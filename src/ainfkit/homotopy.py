@@ -39,9 +39,9 @@ from .graded import (GradedSpace, Vector, Word, compositions, koszul_apply,
                      sign)
 from .linalg import kernel_basis_field, solve_field
 from .qmod import TensorModule, ue_functor
-from .report import FAIL, PASS, UNDECIDED, UNSUPPORTED, CheckReport, Timer
+from .report import FAIL, PASS, UNDECIDED, UNSUPPORTED, CheckReport
 from .rings import Ring
-from .vanish import UnsupportedStructure
+from .vanish import UnsupportedStructure, perturbation_series
 
 
 class TheoremViolation(Exception):
@@ -93,36 +93,34 @@ class IntervalCoalgebra:
 def check_interval_coalgebra(I: IntervalCoalgebra) -> CheckReport:
     """The boundary squares to zero, the coproduct is coassociative, and the
     boundary is a coderivation for it.  All three are finite exact checks."""
-    with Timer() as t:
-        rep = CheckReport("interval-coalgebra",
-                          "d^2 = 0, coassociativity, d a coderivation", None)
-        R = I.ring
-        for x in I.GENS:
-            dd = I.boundary(x).bind(I.boundary)
-            if not dd.is_zero():
-                rep.fail(((x, "d^2"), "0", dd))
-        for x in I.GENS:
-            lhs = Vector.zero(R)
-            rhs = Vector.zero(R)
-            for (a, b), c in I.coproduct(x).terms.items():
-                for (a1, a2), c2 in I.coproduct(a).terms.items():
-                    lhs.add_term((a1, a2, b), R.mul(c, c2))
-                for (b1, b2), c2 in I.coproduct(b).terms.items():
-                    rhs.add_term((a, b1, b2), R.mul(c, c2))
-            if lhs != rhs:
-                rep.fail(((x, "coassoc"), rhs, lhs))
-        for x in I.GENS:
-            lhs = I.boundary(x).bind(I.coproduct)
-            rhs = Vector.zero(R)
-            for (a, b), c in I.coproduct(x).terms.items():
-                for a2, c2 in I.boundary(a).terms.items():
-                    rhs.add_term((a2, b), R.mul(c, c2))
-                s = R.from_int(sign(I.parity(a)))
-                for b2, c2 in I.boundary(b).terms.items():
-                    rhs.add_term((a, b2), R.mul(R.mul(s, c), c2))
-            if lhs != rhs:
-                rep.fail(((x, "coderivation"), rhs, lhs))
-    rep.seconds = t.seconds
+    rep = CheckReport("interval-coalgebra",
+                      "d^2 = 0, coassociativity, d a coderivation", None)
+    R = I.ring
+    for x in I.GENS:
+        dd = I.boundary(x).bind(I.boundary)
+        if not dd.is_zero():
+            rep.fail(((x, "d^2"), "0", dd))
+    for x in I.GENS:
+        lhs = Vector.zero(R)
+        rhs = Vector.zero(R)
+        for (a, b), c in I.coproduct(x).terms.items():
+            for (a1, a2), c2 in I.coproduct(a).terms.items():
+                lhs.add_term((a1, a2, b), R.mul(c, c2))
+            for (b1, b2), c2 in I.coproduct(b).terms.items():
+                rhs.add_term((a, b1, b2), R.mul(c, c2))
+        if lhs != rhs:
+            rep.fail(((x, "coassoc"), rhs, lhs))
+    for x in I.GENS:
+        lhs = I.boundary(x).bind(I.coproduct)
+        rhs = Vector.zero(R)
+        for (a, b), c in I.coproduct(x).terms.items():
+            for a2, c2 in I.boundary(a).terms.items():
+                rhs.add_term((a2, b), R.mul(c, c2))
+            s = R.from_int(sign(I.parity(a)))
+            for b2, c2 in I.boundary(b).terms.items():
+                rhs.add_term((a, b2), R.mul(R.mul(s, c), c2))
+        if lhs != rhs:
+            rep.fail(((x, "coderivation"), rhs, lhs))
     return rep
 
 
@@ -179,32 +177,30 @@ def check_ainf_homotopy(f: AInfMorphism, g: AInfMorphism, h: MultiOp,
     tensor the source coalgebra on every word of weight <= cap.  On the two
     grouplike generators this is the morphism condition for f and g; on the
     connecting generator it is the homotopy condition."""
-    with Timer() as t:
-        rep = CheckReport("ainf-homotopy",
-                          "the interval-assembled coalgebra morphism "
-                          "commutes with the codifferentials", cap)
-        rep.details["f_morphism"] = check_morphism(f, cap).verdict
-        rep.details["g_morphism"] = check_morphism(g, cap).verdict
-        if FAIL in (rep.details["f_morphism"], rep.details["g_morphism"]):
-            rep.fail(("morphism-precondition", PASS, rep.details))
-        H = AInfHomotopy(f, g, h)
-        I = IntervalCoalgebra(f.ring)
-        for gen in I.GENS:
-            s = f.ring.from_int(sign(I.parity(gen)))
-            bad = False
-            for w in f.source.words(cap):
-                lhs = f.target.B_vector(H.assembled(gen, w))
-                rhs = I.boundary(gen).bind(
-                    lambda gen2: H.assembled(gen2, w))
-                rhs = rhs + f.source.B(w).bind(
-                    lambda w2: H.assembled(gen, w2)).scaled(s)
-                if lhs != rhs:
-                    rep.fail(((gen, w), rhs, lhs))
-                    bad = True
-                    break
-            if bad:
+    rep = CheckReport("ainf-homotopy",
+                      "the interval-assembled coalgebra morphism "
+                      "commutes with the codifferentials", cap)
+    rep.details["f_morphism"] = check_morphism(f, cap).verdict
+    rep.details["g_morphism"] = check_morphism(g, cap).verdict
+    if FAIL in (rep.details["f_morphism"], rep.details["g_morphism"]):
+        rep.fail(("morphism-precondition", PASS, rep.details))
+    H = AInfHomotopy(f, g, h)
+    I = IntervalCoalgebra(f.ring)
+    for gen in I.GENS:
+        s = f.ring.from_int(sign(I.parity(gen)))
+        bad = False
+        for w in f.source.words(cap):
+            lhs = f.target.B_vector(H.assembled(gen, w))
+            rhs = I.boundary(gen).bind(
+                lambda gen2: H.assembled(gen2, w))
+            rhs = rhs + f.source.B(w).bind(
+                lambda w2: H.assembled(gen, w2)).scaled(s)
+            if lhs != rhs:
+                rep.fail(((gen, w), rhs, lhs))
+                bad = True
                 break
-    rep.seconds = t.seconds
+        if bad:
+            break
     return rep
 
 
@@ -229,26 +225,14 @@ def homotopy_to_derivation(f: AInfMorphism, g: AInfMorphism, h: MultiOp,
     F = ue_functor(f, Utgt)
     G = ue_functor(g, Utgt)
     H = AInfHomotopy(f, g, h)
-    block_cap = max(f.arity_cap, g.arity_cap, h.arity_cap)
 
     # The interval normalization of the homotopy and the derivation
     # normalization differ by one global sign (the boundary of the
     # connecting generator is the difference of the endpoints, while the
     # commutator [d, D] produces the opposite difference).
-    def h_neg(w: Word) -> Vector:
-        return h.apply(w).scaled(R.from_int(-1))
-
     def d_letter(lt) -> Vector:
-        out = Vector.zero(R)
-        for split in compositions(tuple(lt), block_cap):
-            for j in range(len(split)):
-                ops = ([(0, f.f.apply)] * j + [(h.degree, h_neg)]
-                       + [(0, g.f.apply)] * (len(split) - j - 1))
-                piece = koszul_apply(ops, split, f.source.word_parity, R)
-                for w2, c in piece.terms.items():
-                    for u2, c2 in Utgt.normal_form((tuple(w2),)).terms.items():
-                        out.add_term(u2, R.mul(c, c2))
-        return out
+        packed = H.extended(tuple(lt)).map_words(lambda w: (w,))
+        return Utgt.normal_form(packed).scaled(R.from_int(-1))
 
     def D(u) -> Vector:
         if isinstance(u, Vector):
@@ -257,44 +241,36 @@ def homotopy_to_derivation(f: AInfMorphism, g: AInfMorphism, h: MultiOp,
         pre = 0
         for i, lt in enumerate(u):
             s = R.from_int(sign(pre))
-            left = F(u[:i])
-            mid = d_letter(lt)
-            right = G(u[i + 1:])
-            for u1, c1 in left.terms.items():
-                for u2, c2 in mid.terms.items():
-                    for u3, c3 in right.terms.items():
-                        c = R.mul(R.mul(R.mul(s, c1), c2), c3)
-                        out.add_term(u1 + u2 + u3, c)
+            piece = F(u[:i]).concat(d_letter(lt)).concat(G(u[i + 1:]))
+            out = out + piece.scaled(s)
             pre = (pre + Usrc.letter_parity(lt)) % 2
         return Utgt.normal_form(out)
 
-    with Timer() as t:
-        rep = CheckReport("ue-derivation",
-                          "twisted Leibniz rule and [d, D] = U(f) - U(g)",
-                          cap)
+    rep = CheckReport("ue-derivation",
+                      "twisted Leibniz rule and [d, D] = U(f) - U(g)",
+                      cap)
+    for u in Usrc.uwords(cap, eta_free=True):
+        lhs = Utgt.normal_form(D(Usrc.ue_differential(u))
+                               + D(u).bind(Utgt.ue_differential))
+        rhs = Utgt.normal_form(F(u) - G(u))
+        if lhs != rhs:
+            rep.fail(((u, "commutator"), rhs, lhs))
+            break
+    if rep.passed:
+        bad = False
         for u in Usrc.uwords(cap, eta_free=True):
-            lhs = Utgt.normal_form(D(Usrc.ue_differential(u))
-                                   + D(u).bind(Utgt.ue_differential))
-            rhs = Utgt.normal_form(F(u) - G(u))
-            if lhs != rhs:
-                rep.fail(((u, "commutator"), rhs, lhs))
-                break
-        if rep.passed:
-            bad = False
-            for u in Usrc.uwords(cap, eta_free=True):
-                su = R.from_int(sign(Usrc.uword_parity(u)))
-                budget = cap - Usrc.uword_weight(u)
-                for v in Usrc.uwords(budget, eta_free=True):
-                    lhs = D(u + v)
-                    rhs = Utgt.normal_form(Utgt.mul(D(u), G(v))
-                                           + Utgt.mul(F(u), D(v)).scaled(su))
-                    if lhs != rhs:
-                        rep.fail(((u, v, "leibniz"), rhs, lhs))
-                        bad = True
-                        break
-                if bad:
+            su = R.from_int(sign(Usrc.uword_parity(u)))
+            budget = cap - Usrc.uword_weight(u)
+            for v in Usrc.uwords(budget, eta_free=True):
+                lhs = D(u + v)
+                rhs = Utgt.normal_form(Utgt.mul(D(u), G(v))
+                                       + Utgt.mul(F(u), D(v)).scaled(su))
+                if lhs != rhs:
+                    rep.fail(((u, v, "leibniz"), rhs, lhs))
+                    bad = True
                     break
-    rep.seconds = t.seconds
+            if bad:
+                break
     return D, rep
 
 
@@ -352,17 +328,9 @@ class UeContraction:
         (number of steps, base element, the accumulated homotopy value whose
         boundary certifies the reduction on closed inputs)."""
         limit = max_iter if max_iter is not None else 2 * self.cap + 2
-        ell = 0
-        cur = vec
-        hhat = Vector.zero(self.ring)
-        while not self.in_base(cur):
-            if ell >= limit:
-                raise UnsupportedStructure("reduction did not terminate "
-                                           "within %d steps" % limit)
-            hhat = hhat + self.h_op(cur)
-            cur = self.e_op(cur)
-            ell += 1
-        return ell, cur, hhat
+        ell, passed, cur = perturbation_series(vec, self.e_op, limit,
+                                               "reduction", self.in_base)
+        return ell, cur, self.h_op(passed)
 
 
 def ue_contraction(A: AInfAlgebra, cap: int,
@@ -376,48 +344,45 @@ def ue_contraction(A: AInfAlgebra, cap: int,
     weight range."""
     C = UeContraction(A, cap)
     R = A.ring
-    with Timer() as t:
-        rep = CheckReport("ue-contraction",
-                          "1 - [d,H] fixes the base, iterates into it, and "
-                          "contracts closed elements onto it", cap)
-        U = C.U
-        words = list(U.uwords(cap, eta_free=True))
-        limit = max_iter if max_iter is not None else 2 * cap + 2
+    rep = CheckReport("ue-contraction",
+                      "1 - [d,H] fixes the base, iterates into it, and "
+                      "contracts closed elements onto it", cap)
+    U = C.U
+    words = list(U.uwords(cap, eta_free=True))
+    limit = max_iter if max_iter is not None else 2 * cap + 2
+    for u in words:
+        uvec = Vector.basis(R, u)
+        if C.in_base(uvec) and C.e_op(uvec) != uvec:
+            rep.fail(((u, "base-identity"), uvec, C.e_op(uvec)))
+            break
+    max_ell = 0
+    if rep.passed:
         for u in words:
-            uvec = Vector.basis(R, u)
-            if C.in_base(uvec) and C.e_op(uvec) != uvec:
-                rep.fail(((u, "base-identity"), uvec, C.e_op(uvec)))
+            try:
+                ell = perturbation_series(Vector.basis(R, u), C.e_op,
+                                          limit + 1, "reduction",
+                                          C.in_base)[0]
+            except UnsupportedStructure as exc:
+                rep.fail(((u, "nilpotence"), "a base element", exc.witness))
                 break
-        max_ell = 0
-        if rep.passed:
-            for u in words:
-                v = Vector.basis(R, u)
-                ell = 0
-                while not C.in_base(v) and ell <= limit:
-                    v = C.e_op(v)
-                    ell += 1
-                if not C.in_base(v):
-                    rep.fail(((u, "nilpotence"), "a base element", v))
-                    break
-                max_ell = max(max_ell, ell)
-        rep.details["max_steps"] = max_ell
-        if rep.passed:
-            index = {u: i for i, u in enumerate(words)}
-            rows = [[R.zero] * len(words) for _ in words]
-            for j, u in enumerate(words):
-                for u2, c in C.d_op(Vector.basis(R, u)).terms.items():
-                    rows[index[u2]][j] = c
-            kb = kernel_basis_field(R, rows)
-            rep.details["closed_rank"] = len(kb)
-            for sol in kb:
-                u = Vector(R)
-                for j, c in enumerate(sol):
-                    u.add_term(words[j], c)
-                ell, a, hhat = C.reduce(u, limit)
-                if u - a != C.d_op(hhat):
-                    rep.fail(((u, "certificate", ell), u - a, C.d_op(hhat)))
-                    break
-    rep.seconds = t.seconds
+            max_ell = max(max_ell, ell)
+    rep.details["max_steps"] = max_ell
+    if rep.passed:
+        index = {u: i for i, u in enumerate(words)}
+        rows = [[R.zero] * len(words) for _ in words]
+        for j, u in enumerate(words):
+            for u2, c in C.d_op(Vector.basis(R, u)).terms.items():
+                rows[index[u2]][j] = c
+        kb = kernel_basis_field(R, rows)
+        rep.details["closed_rank"] = len(kb)
+        for sol in kb:
+            u = Vector(R)
+            for j, c in enumerate(sol):
+                u.add_term(words[j], c)
+            ell, a, hhat = C.reduce(u, limit)
+            if u - a != C.d_op(hhat):
+                rep.fail(((u, "certificate", ell), u - a, C.d_op(hhat)))
+                break
     return C, rep
 
 
@@ -593,41 +558,34 @@ def bar_transfer_contraction(M: ModuleLike, F: DgaMorphism,
         return vec.bind(on)
 
     def H(vec: Vector) -> Vector:
-        y = h_prom(vec)
-        out = y
-        while not y.is_zero():
-            y = h_prom(b_op(y)).scaled(R.from_int(-1))
-            out = out + y
-        return out
+        # merging lowers the bar weight, so -h B kills a word of weight w
+        # in at most w + 1 steps
+        bound = 1 + max([_bar_weight(*p) for p in vec.terms] or [0])
+        return perturbation_series(
+            h_prom(vec), lambda y: h_prom(b_op(y)).scaled(R.from_int(-1)),
+            bound, "the transferred homotopy series")[1]
 
-    with Timer() as t_:
-        rep = CheckReport("bar-transfer",
-                          "promoted contraction: 1 = (d+B)H + H(d+B) at "
-                          "bounded bar weight", cap)
-        cone_ok = True
-        for c in V.space.names:
-            cv = Vector.basis(R, c)
-            dC = cv.bind(lambda n: V.b_apply((), n, ()))
-            got = h_cone(cv).bind(lambda n: V.b_apply((), n, ())) \
-                + h_cone(dC)
-            if got != cv:
-                cone_ok = False
-                rep.fail((("cone", c), cv, got))
+    rep = CheckReport("bar-transfer",
+                      "promoted contraction: 1 = (d+B)H + H(d+B) at "
+                      "bounded bar weight", cap)
+    cone_ok = True
+    for c in V.space.names:
+        cv = Vector.basis(R, c)
+        dC = cv.bind(lambda n: V.b_apply((), n, ()))
+        got = h_cone(cv).bind(lambda n: V.b_apply((), n, ())) \
+            + h_cone(dC)
+        if got != cv:
+            cone_ok = False
+            rep.fail((("cone", c), cv, got))
+            break
+    rep.details["cone_contraction"] = PASS if cone_ok else FAIL
+    if rep.passed:
+        for t, beta in module_words(Q, cap):
+            x = Vector.basis(R, (t, beta))
+            got = total_op(H(x)) + H(total_op(x))
+            if got != x:
+                rep.fail(((t, beta), x, got))
                 break
-        rep.details["cone_contraction"] = PASS if cone_ok else FAIL
-        if rep.passed:
-            done = False
-            for t, wt in Q.basis(cap):
-                for beta in Q.algebra.words(cap - wt):
-                    x = Vector.basis(R, (t, beta))
-                    got = total_op(H(x)) + H(total_op(x))
-                    if got != x:
-                        rep.fail(((t, beta), x, got))
-                        done = True
-                        break
-                if done:
-                    break
-    rep.seconds = t_.seconds
     return H, rep
 
 
@@ -871,20 +829,17 @@ def check_obstruction_ideal(c: HomElement, pre: HomElement,
     under the hom differential: composing on either side and applying
     [B, -] never lowers the minimal supported arity (uncurved base)."""
     _require_uncurved(c.source, c.target)
-    with Timer() as t:
-        rep = CheckReport("obstruction-ideal",
-                          "arity >= k homs form a differential ideal", cap)
-        k = c.support_min()
-        if k is None:
-            rep.seconds = t.seconds
-            return rep
-        for label, val in (("post-compose", compose_hom(post, c, cap)),
-                           ("pre-compose", compose_hom(c, pre, cap)),
-                           ("differential", hom_differential(c, cap))):
-            got = val.support_min()
-            if got is not None and got < k:
-                rep.fail(((label,), ">= %d" % k, got))
-    rep.seconds = t.seconds
+    rep = CheckReport("obstruction-ideal",
+                      "arity >= k homs form a differential ideal", cap)
+    k = c.support_min()
+    if k is None:
+        return rep
+    for label, val in (("post-compose", compose_hom(post, c, cap)),
+                       ("pre-compose", compose_hom(c, pre, cap)),
+                       ("differential", hom_differential(c, cap))):
+        got = val.support_min()
+        if got is not None and got < k:
+            rep.fail(((label,), ">= %d" % k, got))
     return rep
 
 
@@ -897,24 +852,22 @@ def check_obstruction_derivation(alpha: HomElement, phi: HomElement,
     at arity `stage` whenever both sides are defined there."""
     _require_uncurved(phi.source, phi.target)
     ring = phi.ring
-    with Timer() as t:
-        rep = CheckReport("obstruction-derivation",
-                          "the stage differential is a derivation for "
-                          "composition", cap)
-        whole = compose_hom(alpha,
-                            compose_hom(phi, compose_hom(psi, beta, cap),
-                                        cap), cap)
-        lhs = arity_part(hom_differential(whole, cap), stage)
-        s = ring.from_int(sign(phi.degree % 2))
-        inner = compose_hom(hom_differential(phi, cap), psi, cap).plus(
-            _hom_scaled(compose_hom(phi, hom_differential(psi, cap), cap),
-                        s))
-        rhs = arity_part(
-            compose_hom(alpha, compose_hom(inner, beta, cap), cap), stage)
-        diff = lhs.plus(rhs.negated())
-        if diff.support_min() is not None:
-            rep.fail((("stage", stage), "0", sorted(diff.table)))
-    rep.seconds = t.seconds
+    rep = CheckReport("obstruction-derivation",
+                      "the stage differential is a derivation for "
+                      "composition", cap)
+    whole = compose_hom(alpha,
+                        compose_hom(phi, compose_hom(psi, beta, cap),
+                                    cap), cap)
+    lhs = arity_part(hom_differential(whole, cap), stage)
+    s = ring.from_int(sign(phi.degree % 2))
+    inner = compose_hom(hom_differential(phi, cap), psi, cap).plus(
+        _hom_scaled(compose_hom(phi, hom_differential(psi, cap), cap),
+                    s))
+    rhs = arity_part(
+        compose_hom(alpha, compose_hom(inner, beta, cap), cap), stage)
+    diff = lhs.plus(rhs.negated())
+    if diff.support_min() is not None:
+        rep.fail((("stage", stage), "0", sorted(diff.table)))
     return rep
 
 
@@ -924,24 +877,22 @@ def check_obstruction_bimodule(phi: HomElement, c: HomElement,
     [B, phi c psi] = [B,phi] c psi + (-1)^phi phi [B,c] psi
     + (-1)^(phi+c) phi c [B,psi], exactly as tables."""
     ring = phi.ring
-    with Timer() as t:
-        rep = CheckReport("hom-leibniz",
-                          "[B, -] is a graded derivation for composition",
-                          cap)
-        whole = compose_hom(phi, compose_hom(c, psi, cap), cap)
-        lhs = hom_differential(whole, cap)
-        s1 = ring.from_int(sign(phi.degree % 2))
-        s2 = ring.from_int(sign((phi.degree + c.degree) % 2))
-        rhs = compose_hom(hom_differential(phi, cap),
-                          compose_hom(c, psi, cap), cap)
-        rhs = rhs.plus(_hom_scaled(compose_hom(
-            phi, compose_hom(hom_differential(c, cap), psi, cap), cap), s1))
-        rhs = rhs.plus(_hom_scaled(compose_hom(
-            phi, compose_hom(c, hom_differential(psi, cap), cap), cap), s2))
-        diff = lhs.plus(rhs.negated())
-        if diff.support_min() is not None:
-            rep.fail((("leibniz",), "0", sorted(diff.table)))
-    rep.seconds = t.seconds
+    rep = CheckReport("hom-leibniz",
+                      "[B, -] is a graded derivation for composition",
+                      cap)
+    whole = compose_hom(phi, compose_hom(c, psi, cap), cap)
+    lhs = hom_differential(whole, cap)
+    s1 = ring.from_int(sign(phi.degree % 2))
+    s2 = ring.from_int(sign((phi.degree + c.degree) % 2))
+    rhs = compose_hom(hom_differential(phi, cap),
+                      compose_hom(c, psi, cap), cap)
+    rhs = rhs.plus(_hom_scaled(compose_hom(
+        phi, compose_hom(hom_differential(c, cap), psi, cap), cap), s1))
+    rhs = rhs.plus(_hom_scaled(compose_hom(
+        phi, compose_hom(c, hom_differential(psi, cap), cap), cap), s2))
+    diff = lhs.plus(rhs.negated())
+    if diff.support_min() is not None:
+        rep.fail((("leibniz",), "0", sorted(diff.table)))
     return rep
 
 
@@ -976,73 +927,71 @@ def invert_homotopy(phi: HomElement, psi: HomElement, h: HomElement,
             compose_hom(phi, ps, cap).negated()).plus(
             hom_differential(ho, cap).negated())
 
-    with Timer() as t:
-        rep = CheckReport("homotopy-inversion",
-                          "stagewise upgrade of an arity-one homotopy "
-                          "inverse", cap)
-        r0 = residual(psi, h)
-        k0 = r0.support_min()
-        kpsi = hom_differential(psi, cap).support_min()
-        k = min(x for x in (k0, kpsi, cap + 1) if x is not None)
-        if k < 1:
-            raise TheoremViolation(
-                0, "the one-sided homotopy-inverse hypothesis fails at "
-                "arity 0", arity_part(r0, 0))
-        other = identity_hom(M, cap).plus(
-            compose_hom(psi, phi, cap).negated()).plus(
-            hom_differential(ell, cap).negated())
-        ko = other.support_min()
-        if ko is not None and ko < 1:
-            raise TheoremViolation(
-                0, "the other-sided homotopy-inverse hypothesis fails at "
-                "arity 0", arity_part(other, 0))
-        psi_hat, h_hat = psi, h
-        for stage in range(k, cap + 1):
-            obs = obstruction_class(psi_hat, cap, stage)
-            if not obs.is_zero():
-                res = obstruction_is_exact(obs, cap)
-                if res.status != "Exact":
-                    raise TheoremViolation(
-                        stage, "the morphism-extension stage equation has "
-                        "no solution", obs)
-                psi_hat = psi_hat.plus(res.primitive.negated())
-            rs = residual(psi_hat, h_hat)
-            kr = rs.support_min()
-            if kr is not None and kr < stage:
+    rep = CheckReport("homotopy-inversion",
+                      "stagewise upgrade of an arity-one homotopy "
+                      "inverse", cap)
+    r0 = residual(psi, h)
+    k0 = r0.support_min()
+    kpsi = hom_differential(psi, cap).support_min()
+    k = min(x for x in (k0, kpsi, cap + 1) if x is not None)
+    if k < 1:
+        raise TheoremViolation(
+            0, "the one-sided homotopy-inverse hypothesis fails at "
+            "arity 0", arity_part(r0, 0))
+    other = identity_hom(M, cap).plus(
+        compose_hom(psi, phi, cap).negated()).plus(
+        hom_differential(ell, cap).negated())
+    ko = other.support_min()
+    if ko is not None and ko < 1:
+        raise TheoremViolation(
+            0, "the other-sided homotopy-inverse hypothesis fails at "
+            "arity 0", arity_part(other, 0))
+    psi_hat, h_hat = psi, h
+    for stage in range(k, cap + 1):
+        obs = obstruction_class(psi_hat, cap, stage)
+        if not obs.is_zero():
+            res = obstruction_is_exact(obs, cap)
+            if res.status != "Exact":
                 raise TheoremViolation(
-                    stage, "the residual dropped below the current stage",
-                    arity_part(rs, kr))
-            rep_rs = arity_part(rs, stage)
-            if rep_rs.support_min() is not None:
-                def eq_closed(homs: List[HomElement]) -> HomElement:
-                    return arity_part(hom_differential(homs[0], cap), stage)
+                    stage, "the morphism-extension stage equation has "
+                    "no solution", obs)
+            psi_hat = psi_hat.plus(res.primitive.negated())
+        rs = residual(psi_hat, h_hat)
+        kr = rs.support_min()
+        if kr is not None and kr < stage:
+            raise TheoremViolation(
+                stage, "the residual dropped below the current stage",
+                arity_part(rs, kr))
+        rep_rs = arity_part(rs, stage)
+        if rep_rs.support_min() is not None:
+            def eq_closed(homs: List[HomElement]) -> HomElement:
+                return arity_part(hom_differential(homs[0], cap), stage)
 
-                def eq_res(homs: List[HomElement]) -> HomElement:
-                    return arity_part(
-                        compose_hom(phi, homs[0], cap).plus(
-                            hom_differential(homs[1], cap).negated()),
-                        stage)
+            def eq_res(homs: List[HomElement]) -> HomElement:
+                return arity_part(
+                    compose_hom(phi, homs[0], cap).plus(
+                        hom_differential(homs[1], cap).negated()),
+                    stage)
 
-                zero_rhs = HomElement(M, N, 0, {}, cap)
-                sol = _solve_multi(
-                    ring, [(N, M, 0), (N, N, -1)], stage,
-                    [(eq_closed, zero_rhs, (N, M)),
-                     (eq_res, rep_rs.negated(), (N, N))], cap)
-                if sol is None:
-                    raise TheoremViolation(
-                        stage, "the homotopy-correction stage equation has "
-                        "no solution", ObstructionElement(stage, rep_rs))
-                psi_hat = psi_hat.plus(sol[0].negated())
-                h_hat = h_hat.plus(sol[1])
-            rep.details["stage"] = stage
-        final = residual(psi_hat, h_hat)
-        kf = final.support_min()
-        if kf is not None and kf <= cap:
-            rep.fail((("final-residual",), "> %d" % cap, kf))
-        kc = hom_differential(psi_hat, cap).support_min()
-        if kc is not None and kc <= cap:
-            rep.fail((("closedness",), "> %d" % cap, kc))
-    rep.seconds = t.seconds
+            zero_rhs = HomElement(M, N, 0, {}, cap)
+            sol = _solve_multi(
+                ring, [(N, M, 0), (N, N, -1)], stage,
+                [(eq_closed, zero_rhs, (N, M)),
+                 (eq_res, rep_rs.negated(), (N, N))], cap)
+            if sol is None:
+                raise TheoremViolation(
+                    stage, "the homotopy-correction stage equation has "
+                    "no solution", ObstructionElement(stage, rep_rs))
+            psi_hat = psi_hat.plus(sol[0].negated())
+            h_hat = h_hat.plus(sol[1])
+        rep.details["stage"] = stage
+    final = residual(psi_hat, h_hat)
+    kf = final.support_min()
+    if kf is not None and kf <= cap:
+        rep.fail((("final-residual",), "> %d" % cap, kf))
+    kc = hom_differential(psi_hat, cap).support_min()
+    if kc is not None and kc <= cap:
+        rep.fail((("closedness",), "> %d" % cap, kc))
     return psi_hat, h_hat, rep
 
 
@@ -1061,49 +1010,43 @@ def quillen_classical_components(f: AInfMorphism, cap: int,
     a second morphism is supplied, the induced derivation relates the two
     induced maps; (c) both adjoint algebras contract onto their bases.  The
     verdict covers the labeled constituents only."""
-    with Timer() as t:
-        rep = CheckReport("classical-comparison",
-                          "inclusion square, induced derivation, and base "
-                          "contractions (constituents only)", cap)
-        A, B = f.source, f.target
-        if not A.curvature_letterwise().is_zero() \
-                or not B.curvature_letterwise().is_zero() \
-                or not f.ring.is_field:
-            rep.verdict = UNSUPPORTED
-            rep.witness = ("uncurved algebras over a field only",)
-            return rep
-        Usrc, Utgt = UAlgebra(A), UAlgebra(B)
-        push = ue_functor(f, Utgt)
-        square_ok = True
-        for w in A.words(cap):
-            lhs = f.extended(w).bind(
-                lambda w2: inclusion_extended(Utgt, w2))
+    rep = CheckReport("classical-comparison",
+                      "inclusion square, induced derivation, and base "
+                      "contractions (constituents only)", cap)
+    A, B = f.source, f.target
+    if not A.curvature_letterwise().is_zero() \
+            or not B.curvature_letterwise().is_zero() \
+            or not f.ring.is_field:
+        rep.verdict = UNSUPPORTED
+        rep.witness = ("uncurved algebras over a field only",)
+        return rep
+    Usrc, Utgt = UAlgebra(A), UAlgebra(B)
+    push = ue_functor(f, Utgt)
+    square_ok = True
+    for w in A.words(cap):
+        lhs = f.extended(w).bind(
+            lambda w2: inclusion_extended(Utgt, w2))
 
-            def push_word(wu) -> Vector:
-                out = Vector.basis(f.ring, ())
-                for u in wu:
-                    nxt = Vector.zero(f.ring)
-                    for pre, c in out.terms.items():
-                        for u2, c2 in push(u).terms.items():
-                            nxt.add_term(pre + (u2,), f.ring.mul(c, c2))
-                    out = nxt
-                return out
+        def push_word(wu) -> Vector:
+            out = Vector.basis(f.ring, ())
+            for u in wu:
+                out = out.concat(push(u).map_words(lambda u2: (u2,)))
+            return out
 
-            rhs = inclusion_extended(Usrc, w).bind(push_word)
-            if lhs != rhs:
-                rep.fail((("square", w), rhs, lhs))
-                square_ok = False
-                break
-        rep.details["inclusion_square"] = PASS if square_ok else FAIL
-        if g is not None and h is not None:
-            _, drep = homotopy_to_derivation(f, g, h, cap)
-            rep.details["derivation"] = drep.verdict
-            if drep.verdict == FAIL:
-                rep.fail((("derivation",), PASS, FAIL))
-        for label, alg in (("source", A), ("target", B)):
-            _, crep = ue_contraction(alg, cap)
-            rep.details["contraction_" + label] = crep.verdict
-            if crep.verdict == FAIL:
-                rep.fail((("contraction", label), PASS, FAIL))
-    rep.seconds = t.seconds
+        rhs = inclusion_extended(Usrc, w).bind(push_word)
+        if lhs != rhs:
+            rep.fail((("square", w), rhs, lhs))
+            square_ok = False
+            break
+    rep.details["inclusion_square"] = PASS if square_ok else FAIL
+    if g is not None and h is not None:
+        _, drep = homotopy_to_derivation(f, g, h, cap)
+        rep.details["derivation"] = drep.verdict
+        if drep.verdict == FAIL:
+            rep.fail((("derivation",), PASS, FAIL))
+    for label, alg in (("source", A), ("target", B)):
+        _, crep = ue_contraction(alg, cap)
+        rep.details["contraction_" + label] = crep.verdict
+        if crep.verdict == FAIL:
+            rep.fail((("contraction", label), PASS, FAIL))
     return rep

@@ -29,9 +29,10 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from .adjoint import UAlgebra, UeModule, UWord, module_to_ue
 from .ainf import (AInfModule, AInfMorphism, BimoduleLike, HomElement,
-                   ModuleLike, hom_differential, module_coderivation)
+                   ModuleLike, hom_differential, module_coderivation,
+                   module_words)
 from .graded import Vector, Word, sign
-from .report import FAIL, CheckReport, Timer
+from .report import FAIL, CheckReport
 
 TElem = Tuple[Any, Word, Any]   # (module letter, A[1]-word, bimodule letter)
 
@@ -251,68 +252,50 @@ def h_operator(Q: TensorModule, EM: UeModule, t: TElem, beta: Word) -> Vector:
     return out
 
 
-def _pairs(Q: TensorModule, cap: int) -> Iterator[Tuple[TElem, Word]]:
-    for t, wt in Q.basis(cap):
-        for beta in Q.algebra.words(cap - wt):
-            yield t, beta
-
-
 def check_lambda_closed(Q: TensorModule, cap: int) -> CheckReport:
     """The unit inclusion intertwines the coderivations exactly."""
-    with Timer() as t_:
-        rep = CheckReport("lambda-closed", "the unit inclusion is closed", cap)
-        M = Q.M
-        for m, wm in M.basis(cap):
-            for alpha in M.algebra.words(cap - wm):
-                lhs = lambda_operator(Q, m, alpha).bind(
-                    lambda p: module_coderivation(Q, p[0], p[1]))
-                rhs = Vector.zero(Q.ring)
-                for (m2, a2), c in module_coderivation(M, m, alpha).terms.items():
-                    rhs = rhs + lambda_operator(Q, m2, a2).scaled(c)
-                if lhs != rhs:
-                    rep.fail(((m, alpha), rhs, lhs))
-                    break
-            if rep.verdict == FAIL:
-                break
-    rep.seconds = t_.seconds
+    rep = CheckReport("lambda-closed", "the unit inclusion is closed", cap)
+    M = Q.M
+    for m, alpha in module_words(M, cap):
+        lhs = lambda_operator(Q, m, alpha).bind(
+            lambda p: module_coderivation(Q, p[0], p[1]))
+        rhs = Vector.zero(Q.ring)
+        for (m2, a2), c in module_coderivation(M, m, alpha).terms.items():
+            rhs = rhs + lambda_operator(Q, m2, a2).scaled(c)
+        if lhs != rhs:
+            rep.fail(((m, alpha), rhs, lhs))
+            break
     return rep
 
 
 def check_epsilon_closed(Q: TensorModule, cap: int) -> CheckReport:
     """The counit projection intertwines the coderivations exactly."""
-    with Timer() as t_:
-        rep = CheckReport("epsilon-closed", "the counit projection is closed",
-                          cap)
-        M = Q.M
-        EM = module_to_ue(M)
-        for t, beta in _pairs(Q, cap):
-            lhs = epsilon_operator(Q, EM, t, beta).bind(
-                lambda p: module_coderivation(M, p[0], p[1]))
-            rhs = module_coderivation(Q, t, beta).bind(
-                lambda p: epsilon_operator(Q, EM, p[0], p[1]))
-            if lhs != rhs:
-                rep.fail(((t, beta), rhs, lhs))
-                break
-    rep.seconds = t_.seconds
+    rep = CheckReport("epsilon-closed", "the counit projection is closed",
+                      cap)
+    M = Q.M
+    EM = module_to_ue(M)
+    for t, beta in module_words(Q, cap):
+        lhs = epsilon_operator(Q, EM, t, beta).bind(
+            lambda p: module_coderivation(M, p[0], p[1]))
+        rhs = module_coderivation(Q, t, beta).bind(
+            lambda p: epsilon_operator(Q, EM, p[0], p[1]))
+        if lhs != rhs:
+            rep.fail(((t, beta), rhs, lhs))
+            break
     return rep
 
 
 def check_triangle(Q: TensorModule, cap: int) -> CheckReport:
     """counit o unit is the identity exactly, not merely up to homotopy."""
-    with Timer() as t_:
-        rep = CheckReport("triangle", "counit o unit = 1", cap)
-        M = Q.M
-        EM = module_to_ue(M)
-        for m, wm in M.basis(cap):
-            for alpha in M.algebra.words(cap - wm):
-                got = lambda_operator(Q, m, alpha).bind(
-                    lambda p: epsilon_operator(Q, EM, p[0], p[1]))
-                if got != Vector.basis(Q.ring, (m, alpha)):
-                    rep.fail(((m, alpha), (m, alpha), got))
-                    break
-            if rep.verdict == FAIL:
-                break
-    rep.seconds = t_.seconds
+    rep = CheckReport("triangle", "counit o unit = 1", cap)
+    M = Q.M
+    EM = module_to_ue(M)
+    for m, alpha in module_words(M, cap):
+        got = lambda_operator(Q, m, alpha).bind(
+            lambda p: epsilon_operator(Q, EM, p[0], p[1]))
+        if got != Vector.basis(Q.ring, (m, alpha)):
+            rep.fail(((m, alpha), (m, alpha), got))
+            break
     return rep
 
 
@@ -338,25 +321,23 @@ def check_q_homotopy(Q: TensorModule, cap: int) -> CheckReport:
     """BH + HB = 1 - lambda epsilon on every basis word of weight <= cap
     whose middle slot is unit-free, with unit-carrying middle slots reduced
     away in the output."""
-    with Timer() as t_:
-        rep = CheckReport("q-homotopy", "BH + HB = 1 - lambda epsilon "
-                          "on the reduced word space", cap)
-        EM = module_to_ue(Q.M)
-        eta = Q.M.algebra.eta
-        for t, beta in _pairs(Q, cap):
-            if eta in t[1]:
-                continue
-            bh = h_operator(Q, EM, t, beta).bind(
-                lambda p: module_coderivation(Q, p[0], p[1]))
-            hb = module_coderivation(Q, t, beta).bind(
-                lambda p: h_operator(Q, EM, p[0], p[1]))
-            lam_eps = epsilon_operator(Q, EM, t, beta).bind(
-                lambda p: lambda_operator(Q, p[0], p[1]))
-            got = reduce_middle(Q, bh + hb + lam_eps)
-            if got != Vector.basis(Q.ring, (t, beta)):
-                rep.fail(((t, beta), (t, beta), got))
-                break
-    rep.seconds = t_.seconds
+    rep = CheckReport("q-homotopy", "BH + HB = 1 - lambda epsilon "
+                      "on the reduced word space", cap)
+    EM = module_to_ue(Q.M)
+    eta = Q.M.algebra.eta
+    for t, beta in module_words(Q, cap):
+        if eta in t[1]:
+            continue
+        bh = h_operator(Q, EM, t, beta).bind(
+            lambda p: module_coderivation(Q, p[0], p[1]))
+        hb = module_coderivation(Q, t, beta).bind(
+            lambda p: h_operator(Q, EM, p[0], p[1]))
+        lam_eps = epsilon_operator(Q, EM, t, beta).bind(
+            lambda p: lambda_operator(Q, p[0], p[1]))
+        got = reduce_middle(Q, bh + hb + lam_eps)
+        if got != Vector.basis(Q.ring, (t, beta)):
+            rep.fail(((t, beta), (t, beta), got))
+            break
     return rep
 
 
@@ -380,11 +361,10 @@ def dg_to_hom(Q: TensorModule, N: AInfModule, g: Callable[[TElem], Vector],
               degree: int, cap: int) -> HomElement:
     """Inverse transport: precompose with the unit inclusion."""
     table: Dict[Tuple[Any, Word], Vector] = {}
-    for m, wm in Q.M.basis(cap):
-        for alpha in Q.M.algebra.words(cap - wm):
-            val = g((m, alpha, ()))
-            if not val.is_zero():
-                table[(m, alpha)] = val
+    for m, alpha in module_words(Q.M, cap):
+        val = g((m, alpha, ()))
+        if not val.is_zero():
+            table[(m, alpha)] = val
     return HomElement(Q.M, N, degree, table, cap)
 
 
@@ -393,29 +373,27 @@ def check_adjunction_transport(Q: TensorModule, N: AInfModule,
     """The transports roundtrip to the identity and intertwine the hom
     differentials: the transport of [B, phi] is the commutator of the
     dg-module differentials with the transported map."""
-    with Timer() as t_:
-        rep = CheckReport("adjunction",
-                          "transport roundtrips and intertwines differentials",
-                          cap)
-        R = Q.ring
-        EN = module_to_ue(N)
-        g = hom_to_dg(Q, N, phi)
-        back = dg_to_hom(Q, N, g, phi.degree, cap)
-        mismatches = [key for key in set(back.table) | set(phi.table)
-                      if back.apply(*key) != phi.apply(*key)]
-        if mismatches:
-            key = mismatches[0]
-            rep.fail((key, phi.apply(*key), back.apply(*key)))
-        gd = hom_to_dg(Q, N, hom_differential(phi, cap))
-        s = R.from_int(-sign(phi.degree % 2))
-        for t, wt in Q.basis(cap):
-            lhs = gd(t)
-            rhs = EN.d(g(t)) \
-                + q_differential(Q, Vector.basis(R, t)).bind(g).scaled(s)
-            if lhs != rhs:
-                rep.fail((t, rhs, lhs))
-                break
-    rep.seconds = t_.seconds
+    rep = CheckReport("adjunction",
+                      "transport roundtrips and intertwines differentials",
+                      cap)
+    R = Q.ring
+    EN = module_to_ue(N)
+    g = hom_to_dg(Q, N, phi)
+    back = dg_to_hom(Q, N, g, phi.degree, cap)
+    mismatches = [key for key in set(back.table) | set(phi.table)
+                  if back.apply(*key) != phi.apply(*key)]
+    if mismatches:
+        key = mismatches[0]
+        rep.fail((key, phi.apply(*key), back.apply(*key)))
+    gd = hom_to_dg(Q, N, hom_differential(phi, cap))
+    s = R.from_int(-sign(phi.degree % 2))
+    for t, wt in Q.basis(cap):
+        lhs = gd(t)
+        rhs = EN.d(g(t)) \
+            + q_differential(Q, Vector.basis(R, t)).bind(g).scaled(s)
+        if lhs != rhs:
+            rep.fail((t, rhs, lhs))
+            break
     return rep
 
 
@@ -459,29 +437,27 @@ def check_restriction_square(f: AInfMorphism, M2: AInfModule,
     """Coherence of restriction with the adjoint functor: acting a packed
     letter on the restricted module agrees with acting its adjoint-algebra
     image on the original module, and the differentials coincide."""
-    with Timer() as t_:
-        rep = CheckReport("restriction-square",
-                          "restricted action = action along the adjoint map",
-                          cap)
-        MR = restrict_scalars(f, M2, max(cap, M2.arity_cap))
-        ER, E2 = module_to_ue(MR), module_to_ue(M2)
-        F = ue_functor(f, UAlgebra(f.target))
-        for m in M2.space.names:
-            mv = Vector.basis(M2.ring, m)
-            if ER.d(mv) != E2.d(mv):
-                rep.fail(((m, "d"), E2.d(mv), ER.d(mv)))
+    rep = CheckReport("restriction-square",
+                      "restricted action = action along the adjoint map",
+                      cap)
+    MR = restrict_scalars(f, M2, max(cap, M2.arity_cap))
+    ER, E2 = module_to_ue(MR), module_to_ue(M2)
+    F = ue_functor(f, UAlgebra(f.target))
+    for m in M2.space.names:
+        mv = Vector.basis(M2.ring, m)
+        if ER.d(mv) != E2.d(mv):
+            rep.fail(((m, "d"), E2.d(mv), ER.d(mv)))
+            break
+        bad = False
+        for lt in ER.U.letters(cap, eta_free=True):
+            lhs = ER.act(mv, (lt,))
+            rhs = E2.act(mv, F((lt,)))
+            if lhs != rhs:
+                rep.fail(((m, lt), rhs, lhs))
+                bad = True
                 break
-            bad = False
-            for lt in ER.U.letters(cap, eta_free=True):
-                lhs = ER.act(mv, (lt,))
-                rhs = E2.act(mv, F((lt,)))
-                if lhs != rhs:
-                    rep.fail(((m, lt), rhs, lhs))
-                    bad = True
-                    break
-            if bad:
-                break
-    rep.seconds = t_.seconds
+        if bad:
+            break
     return rep
 
 
@@ -522,11 +498,7 @@ def ue_functor(f: AInfMorphism, Utgt: UAlgebra) -> Callable[[UWord], Vector]:
     def fn(u: UWord) -> Vector:
         partial = Vector.basis(R, ())
         for lt in u:
-            nxt = Vector.zero(R)
-            for base, cu in partial.terms.items():
-                for u2, c2 in on_letter(lt).terms.items():
-                    nxt.add_term(base + u2, R.mul(cu, c2))
-            partial = nxt
+            partial = partial.concat(on_letter(lt))
         return Utgt.normal_form(partial)
     return fn
 
@@ -535,26 +507,24 @@ def check_ue_functor(f: AInfMorphism, cap: int) -> CheckReport:
     """The induced map of adjoint algebras preserves the unit, matches the
     curvatures, and commutes with the differentials (multiplicativity holds
     by construction)."""
-    with Timer() as t_:
-        rep = CheckReport("ue-functor",
-                          "adjoint-algebra map respects d and curvature", cap)
-        Usrc = UAlgebra(f.source)
-        Utgt = UAlgebra(f.target)
-        F = ue_functor(f, Utgt)
-        if F(()) != Vector.basis(f.source.ring, ()):
-            rep.fail((("unit",), "1", F(())))
-        csrc = Usrc.normal_form(Usrc.curvature())
-        ctgt = Utgt.normal_form(Utgt.curvature())
-        if csrc.bind(F) != ctgt:
-            rep.fail((("curvature",), ctgt, csrc.bind(F)))
-        for lt in Usrc.letters(cap, eta_free=True):
-            lhs = Usrc.ue_differential((lt,)).bind(F)
-            rhs = Utgt.normal_form(
-                F((lt,)).bind(lambda u: Utgt.ue_differential(u)))
-            if lhs != rhs:
-                rep.fail(((lt,), rhs, lhs))
-                break
-    rep.seconds = t_.seconds
+    rep = CheckReport("ue-functor",
+                      "adjoint-algebra map respects d and curvature", cap)
+    Usrc = UAlgebra(f.source)
+    Utgt = UAlgebra(f.target)
+    F = ue_functor(f, Utgt)
+    if F(()) != Vector.basis(f.source.ring, ()):
+        rep.fail((("unit",), "1", F(())))
+    csrc = Usrc.normal_form(Usrc.curvature())
+    ctgt = Utgt.normal_form(Utgt.curvature())
+    if csrc.bind(F) != ctgt:
+        rep.fail((("curvature",), ctgt, csrc.bind(F)))
+    for lt in Usrc.letters(cap, eta_free=True):
+        lhs = Usrc.ue_differential((lt,)).bind(F)
+        rhs = Utgt.normal_form(
+            F((lt,)).bind(lambda u: Utgt.ue_differential(u)))
+        if lhs != rhs:
+            rep.fail(((lt,), rhs, lhs))
+            break
     return rep
 
 
@@ -580,25 +550,21 @@ def free_differential(M: FreeUeModule, vec: Vector) -> Vector:
 def check_free_module(M: FreeUeModule, cap: int) -> CheckReport:
     """Validity of a free presentation: homogeneous differential table and
     d^2 = -(.c) on every basis element of weight <= cap."""
-    with Timer() as t_:
-        rep = CheckReport("free-module", "d^2 = -(.c) on a free basis", cap)
-        U = M.U
-        R = M.ring
-        c = U.normal_form(U.curvature())
-        for g in M.gens:
-            for u in U.uwords(cap, eta_free=True):
-                x = Vector.basis(R, (g, u))
-                lhs = free_differential(M, free_differential(M, x))
-                rhs = Vector.zero(R)
-                for u2, cc in c.terms.items():
-                    for u3, c3 in U.normal_form(u + u2).terms.items():
-                        rhs.add_term((g, u3), R.neg(R.mul(cc, c3)))
-                if lhs != rhs:
-                    rep.fail((((g, u),), rhs, lhs))
-                    break
-            if rep.verdict == FAIL:
+    rep = CheckReport("free-module", "d^2 = -(.c) on a free basis", cap)
+    U = M.U
+    R = M.ring
+    c = U.normal_form(U.curvature())
+    for g in M.gens:
+        for u in U.uwords(cap, eta_free=True):
+            x = Vector.basis(R, (g, u))
+            lhs = free_differential(M, free_differential(M, x))
+            rhs = U.normal_form(U.mul(Vector.basis(R, u), c)).map_words(
+                lambda u3: (g, u3)).scaled(R.from_int(-1))
+            if lhs != rhs:
+                rep.fail((((g, u),), rhs, lhs))
                 break
-    rep.seconds = t_.seconds
+        if rep.verdict == FAIL:
+            break
     return rep
 
 

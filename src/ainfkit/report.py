@@ -7,7 +7,6 @@ witness.  Verdicts are always relative to the caps the check ran with.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
@@ -24,7 +23,6 @@ class CheckReport:
     cap: Any                       # weight/arity caps the verdict is relative to
     verdict: str = PASS
     witness: Optional[Any] = None  # (input, expected, got) for the first failure
-    seconds: float = 0.0
     details: dict = field(default_factory=dict)
 
     @property
@@ -54,12 +52,3 @@ class CheckReport:
             base += "\n  witness: %r" % (self.witness,)
         return base
 
-
-class Timer:
-    def __enter__(self):
-        self.t0 = time.monotonic()
-        return self
-
-    def __exit__(self, *exc):
-        self.seconds = time.monotonic() - self.t0
-        return False

@@ -31,12 +31,41 @@ from .ainf import (AInfAlgebra, AInfModule, CurvedDga, ModuleLike, MultiOp,
                    check_module, m_from_b, module_coderivation, module_words)
 from .graded import GradedSpace, Grading, Vector, Word, sign
 from .linalg import solve_linear
-from .report import FAIL, PASS, UNDECIDED, CheckReport, Timer
+from .report import FAIL, PASS, UNDECIDED, CheckReport
 from .rings import PolynomialRing, Ring, RingHom, UnsupportedRing
 
 
 class UnsupportedStructure(Exception):
-    """The operation does not apply to this kind of structure."""
+    """The operation does not apply to this kind of structure; ``witness``
+    holds the offending value when there is one."""
+
+    def __init__(self, message: str, witness: Any = None):
+        super().__init__(message)
+        self.witness = witness
+
+
+def perturbation_series(first: Vector, step: Callable[[Vector], Vector],
+                        bound: int, name: str,
+                        done: Callable[[Vector], bool] = Vector.is_zero
+                        ) -> Tuple[int, Vector, Vector]:
+    """The series first + step(first) + step(step(first)) + ... of the
+    basic perturbation lemma, summed up to the first term that is ``done``
+    (by default: zero).
+
+    Returns (number of steps, sum of the terms before the last, last term).
+    ``bound`` is the caller's proven bound on the number of steps; a term
+    that is not done after that many steps raises UnsupportedStructure with
+    the term as witness instead of looping.
+    """
+    steps, total, term = 0, Vector.zero(first.ring), first
+    while not done(term):
+        if steps >= bound:
+            raise UnsupportedStructure("%s did not terminate within %d steps"
+                                       % (name, bound), term)
+        total = total + term
+        term = step(term)
+        steps += 1
+    return steps, total, term
 
 
 # ---------------------------------------------------------------------------
@@ -213,26 +242,18 @@ def kp_contraction(M: ModuleLike, aug: AugmentationMap, cap: int
         return vec - B_vec(H_vec(vec)) - H_vec(B_vec(vec))
 
     def G(vec: Vector) -> Vector:
-        total = Vector.zero(ring)
-        u = H_vec(vec)
         guard = 2 + max([len(p[1]) for p in vec.terms] or [0])
-        for _ in range(guard + 1):
-            if u.is_zero():
-                return total
-            total = total + u
-            u = E_vec(u)
-        raise AssertionError("the contraction series did not terminate")
+        return perturbation_series(H_vec(vec), E_vec, guard,
+                                   "the contraction series")[1]
 
-    with Timer() as t:
-        rep = CheckReport("augmentation-contraction", "[B, G] = 1 (.) 1^(x)",
-                          cap)
-        for m, alpha in module_words(M, cap):
-            v = Vector.basis(ring, (m, alpha))
-            got_v = B_vec(G(v)) + G(B_vec(v))
-            if got_v != v:
-                rep.fail(((m, alpha), "the word itself", got_v))
-                break
-    rep.seconds = t.seconds
+    rep = CheckReport("augmentation-contraction", "[B, G] = 1 (.) 1^(x)",
+                      cap)
+    for m, alpha in module_words(M, cap):
+        v = Vector.basis(ring, (m, alpha))
+        got_v = B_vec(G(v)) + G(B_vec(v))
+        if got_v != v:
+            rep.fail(((m, alpha), "the word itself", got_v))
+            break
     return G, rep
 
 
@@ -309,30 +330,28 @@ def check_gamma_agreement(D: CurvedDga, M: ModuleLike, aug: AugmentationMap,
     unitality), so the table comparison runs on unit-free words -- the
     [B, G] = 1 verification itself runs on *all* words, with no restriction.
     """
-    with Timer() as t:
-        rep = CheckReport("gamma-agreement",
-                          "gamma = (sum E^k) H on unit-free words, "
-                          "[B, G] = 1 on all words", cap)
-        gamma = gamma_operator(D, M, aug)
-        G, inner = kp_contraction(M, aug, cap)
-        rep.details["series_contraction"] = inner.verdict
-        if inner.verdict != PASS:
-            rep.fail(("series contraction", None, inner.witness))
-        eta = M.algebra.eta
-        for m, alpha in module_words(M, cap):
-            if eta in alpha:
-                continue
-            v = Vector.basis(M.ring, (m, alpha))
-            lhs = gamma((m, alpha))
-            # the series G lands back in module-with-tail pairs; gamma's
-            # nonzero values are bare module elements (empty tails)
-            rhs = G(v)
-            lhs_pairs = Vector(M.ring, {(w, ()): c
-                                        for w, c in lhs.terms.items()})
-            if lhs_pairs != rhs:
-                rep.fail(((m, alpha), rhs, lhs_pairs))
-                break
-    rep.seconds = t.seconds
+    rep = CheckReport("gamma-agreement",
+                      "gamma = (sum E^k) H on unit-free words, "
+                      "[B, G] = 1 on all words", cap)
+    gamma = gamma_operator(D, M, aug)
+    G, inner = kp_contraction(M, aug, cap)
+    rep.details["series_contraction"] = inner.verdict
+    if inner.verdict != PASS:
+        rep.fail(("series contraction", None, inner.witness))
+    eta = M.algebra.eta
+    for m, alpha in module_words(M, cap):
+        if eta in alpha:
+            continue
+        v = Vector.basis(M.ring, (m, alpha))
+        lhs = gamma((m, alpha))
+        # the series G lands back in module-with-tail pairs; gamma's
+        # nonzero values are bare module elements (empty tails)
+        rhs = G(v)
+        lhs_pairs = Vector(M.ring, {(w, ()): c
+                                    for w, c in lhs.terms.items()})
+        if lhs_pairs != rhs:
+            rep.fail(((m, alpha), rhs, lhs_pairs))
+            break
     return rep
 
 
@@ -538,34 +557,32 @@ def mf_module(F: MatrixFactorization, arity_cap: int = 4) -> AInfModule:
 def mf_check(F: MatrixFactorization, cap: int = 3) -> CheckReport:
     """d^2 = W.Id entrywise, and the companion module passes the module
     axioms over the rank-one curved algebra; the two verdicts must agree."""
-    with Timer() as t:
-        rep = CheckReport("matrix-factorization",
-                          "d^2 = W.Id and the companion curved module is "
-                          "valid", cap)
-        ring = F.ring
-        square_ok = True
-        sq = F.square()
-        for i in range(F.rank):
-            for j in range(F.rank):
-                want = F.potential if i == j else ring.zero
-                if sq[i][j] != want:
-                    square_ok = False
-                    if rep.verdict == PASS:
-                        rep.fail((("entry", i, j), want, sq[i][j]))
-        rep.details["square_identity"] = PASS if square_ok else FAIL
-        odd_ok = all(ring.is_zero(F.d[i][j])
-                     for i in range(F.rank) for j in range(F.rank)
-                     if F.basis_parity(i) == F.basis_parity(j))
-        rep.details["odd_operator"] = PASS if odd_ok else FAIL
-        if not odd_ok:
-            rep.fail(("d has a parity-preserving entry", None, None))
-        inner = check_module(mf_module(F), cap)
-        rep.details["module_axioms"] = inner.verdict
-        agree = (inner.verdict == PASS) == (square_ok and odd_ok)
-        rep.details["paths_agree"] = agree
-        if not agree:
-            rep.verdict = FAIL
-        elif inner.verdict != PASS and rep.verdict == PASS:
-            rep.fail(inner.witness)
-    rep.seconds = t.seconds
+    rep = CheckReport("matrix-factorization",
+                      "d^2 = W.Id and the companion curved module is "
+                      "valid", cap)
+    ring = F.ring
+    square_ok = True
+    sq = F.square()
+    for i in range(F.rank):
+        for j in range(F.rank):
+            want = F.potential if i == j else ring.zero
+            if sq[i][j] != want:
+                square_ok = False
+                if rep.verdict == PASS:
+                    rep.fail((("entry", i, j), want, sq[i][j]))
+    rep.details["square_identity"] = PASS if square_ok else FAIL
+    odd_ok = all(ring.is_zero(F.d[i][j])
+                 for i in range(F.rank) for j in range(F.rank)
+                 if F.basis_parity(i) == F.basis_parity(j))
+    rep.details["odd_operator"] = PASS if odd_ok else FAIL
+    if not odd_ok:
+        rep.fail(("d has a parity-preserving entry", None, None))
+    inner = check_module(mf_module(F), cap)
+    rep.details["module_axioms"] = inner.verdict
+    agree = (inner.verdict == PASS) == (square_ok and odd_ok)
+    rep.details["paths_agree"] = agree
+    if not agree:
+        rep.verdict = FAIL
+    elif inner.verdict != PASS and rep.verdict == PASS:
+        rep.fail(inner.witness)
     return rep

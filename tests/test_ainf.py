@@ -15,13 +15,15 @@ from ainfkit.ainf import (AInfAlgebra, AInfModule, AInfMorphism, MultiOp,
                           twist_algebra)
 from ainfkit.fixtures import (diagonal_bimodule, dga_rank2, dga_two_odd,
                               module_pqab, random_hom_perturbation,
-                              random_unital_table, trivial_algebra,
-                              twisted_dga, twisted_identity_morphism)
+                              random_unital_table, random_unital_twist_data,
+                              trivial_algebra, twisted_dga,
+                              twisted_identity_morphism)
 from ainfkit.graded import GradedSpace, Grading, Vector
-from ainfkit.rings import Integers, IntegersMod
+from ainfkit.rings import Integers, IntegersMod, Rationals
 
 F7 = IntegersMod(7)
 Z = Integers()
+Q = Rationals()
 
 
 def test_trivial_algebra_curved_is_valid():
@@ -102,14 +104,34 @@ def test_twisted_algebra_is_valid_and_higher():
     assert check_morphism(f, 4).passed
 
 
+def test_twist_table_is_stable_in_the_cap():
+    # a higher cap only adds arities.  At the top arity b_0 lengthens the
+    # word, so the inverse data is needed one arity past the cap; random
+    # tables put curvature on letters other than the unit, which the
+    # higher inverse components do not kill
+    for seed in range(1, 4):
+        rng = random.Random(seed)
+        A = random_unital_table(F7, 3, 3, rng)
+        f = random_unital_twist_data(A, rng, 3)
+        lower, higher = twist_algebra(A, f, 4), twist_algebra(A, f, 5)
+        assert {w: v for w, v in higher.b.table.items()
+                if len(w) <= 4} == lower.b.table, seed
+
+
 def test_invert_morphism_data_roundtrip():
-    rng = random.Random(5)
-    base = dga_rank2(F7, 1, 0, 2).algebra
-    tw, f = twisted_dga(base, rng, arity_cap=4, f_cap=3)
-    g = invert_morphism_data(f, 4)
-    gf = compose_morphisms(g, f, arity_cap=4)
-    ident = identity_morphism(tw, 4)
-    assert gf.f.table == ident.f.table
+    for ring, seed in ((F7, 5), (F7, 11), (Q, 5), (Q, 11)):
+        rng = random.Random(seed)
+        base = dga_rank2(ring, 1, 0, 2).algebra
+        tw, f = twisted_dga(base, rng, arity_cap=4, f_cap=3)
+        g = invert_morphism_data(f, 4)
+        gf = compose_morphisms(g, f, arity_cap=4)
+        ident = identity_morphism(tw, 4)
+        assert gf.f.table == ident.f.table
+        # the inverse is computed arity by arity, so a higher cap only adds
+        # arities; twist_algebra relies on this
+        longer = invert_morphism_data(f, 6)
+        assert {w: v for w, v in longer.f.table.items()
+                if len(w) <= 4} == g.f.table, (ring, seed)
 
 
 def test_compose_morphisms_against_direct_check():

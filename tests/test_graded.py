@@ -161,6 +161,21 @@ def test_empty_word_is_explicit_basis():
     v = Vector.basis(Z, ())
     assert not v.is_zero()
     assert v.terms == {(): 1}
+    # ... and the unit of the concatenation product, which zero annihilates
+    x = Vector(Z, {("a",): 2, ("a", "b"): -3})
+    assert v.concat(x) == x and x.concat(v) == x
+    assert Vector.zero(Z).concat(x).is_zero()
+    assert x.concat(Vector.zero(Z)).is_zero()
+
+
+def test_concat_is_associative_and_drops_cancelled_terms():
+    x = Vector(Z, {("a",): 1, ("a", "b"): 1})
+    y = Vector(Z, {("b", "c"): 1, ("c",): -1})
+    # (a,b,c) arises as a.(b,c) and as (a,b).c with opposite signs
+    assert x.concat(y).terms == {("a", "c"): -1, ("a", "b", "b", "c"): 1}
+    z = Vector(F5, {("c",): 2, (): 3})
+    x5, y5 = Vector(F5, x.terms), Vector(F5, y.terms)
+    assert x5.concat(y5).concat(z) == x5.concat(y5.concat(z))
 
 
 def test_shifted_space_degrees():

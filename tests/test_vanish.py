@@ -23,7 +23,7 @@ from ainfkit.vanish import (FOUND, NONEXISTENT, AugmentationMap,
                             classical_curvature, curvature_insertions,
                             detect_augmentation, gamma_operator,
                             kp_contraction, mc_criterion, mc_evaluate,
-                            mf_check, mf_module)
+                            mf_check, mf_module, perturbation_series)
 
 F7 = IntegersMod(7)
 
@@ -402,3 +402,23 @@ def test_mf_rank_two_blocks():
          [z, o, z, z]]
     F = MatrixFactorization(QX, 2, 2, d, X2)
     assert mf_check(F).passed
+
+
+def test_perturbation_series_sums_until_done_and_bounds_the_steps():
+    # dropping the first letter reaches zero after len + 1 steps
+    def drop(vec):
+        return vec.bind(lambda w: Vector.basis(F7, w[1:]) if w else None)
+
+    steps, total, last = perturbation_series(Vector.basis(F7, ("a", "b")),
+                                             drop, 3, "drop")
+    assert (steps, last) == (3, Vector.zero(F7))
+    assert total == Vector(F7, {("a", "b"): 1, ("b",): 1, (): 1})
+    # a step that never reaches zero raises instead of looping
+    x = Vector.basis(F7, ("a",))
+    with pytest.raises(UnsupportedStructure) as exc:
+        perturbation_series(x, lambda v: v, 5, "the identity")
+    assert str(exc.value) == "the identity did not terminate within 5 steps"
+    assert exc.value.witness == x
+    # a bound below the proven one is refused the same way
+    with pytest.raises(UnsupportedStructure):
+        perturbation_series(Vector.basis(F7, ("a", "b")), drop, 2, "drop")
