@@ -40,7 +40,7 @@ import itertools
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from .ainf import AInfAlgebra, AInfModule, AInfMorphism, CurvedDga, ModuleLike
-from .graded import Vector, Word, sign
+from .graded import Vector, Word, block_extend, sign
 from .report import FAIL, PASS, CheckReport
 from .rings import Ring
 
@@ -247,31 +247,12 @@ def ue_coderivation(U: UAlgebra, word: Tuple[UWord, ...],
 
 def inclusion_extended(U: UAlgebra, w: Word) -> Vector:
     """Coalgebra-morphism extension of the canonical inclusion, whose l-th
-    component packs a whole l-letter word into a single letter of U_e(A).
-    All components have degree 0, so no Koszul signs appear between blocks."""
-    R = U.ring
-    out = Vector.zero(R)
-    def blocks(word: Word) -> Iterator[Tuple[Word, ...]]:
-        if not word:
-            yield ()
-            return
-        for i in range(1, len(word) + 1):
-            for rest in blocks(word[i:]):
-                yield (word[:i],) + rest
-    for comp in blocks(w):
-        dead = False
-        pieces: List[UWord] = []
-        for blk in comp:
-            v = U.normal_form((tuple(blk),))
-            if v.is_zero():
-                dead = True
-                break
-            ((u, c),) = v.terms.items()
-            pieces.append(u)
-        if dead:
-            continue
-        out.add_term(tuple(pieces), R.one)
-    return out
+    component packs a whole l-letter word into a single letter of U_e(A)
+    and takes its normal form.  All components have degree 0, so no Koszul
+    signs appear between blocks."""
+    def image(i: int, j: int) -> Vector:
+        return U.normal_form((w[i:j],)).map_words(lambda u: (u,))
+    return block_extend(U.ring, len(w), len(w), image)
 
 
 def check_inclusion_morphism(U: UAlgebra, cap: int,
@@ -318,7 +299,7 @@ class UeModule:
         if isinstance(u, Vector):
             out = Vector.zero(self.ring)
             for uw, c in u.terms.items():
-                out = out + self.act(vec, uw).scaled(c)
+                out.add_vector(self.act(vec, uw), c)
             return out
         for lt in u:
             vec = self.act_letter(vec, lt)

@@ -21,9 +21,8 @@ import itertools
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
-from .graded import (GradedSpace, Grading, MultiOp, Vector, Word, comultiply,
-                     compositions, geometric_extend, koszul_apply, sandwich,
-                     sign)
+from .graded import (GradedSpace, MultiOp, Vector, Word, geometric_extend,
+                     sandwich, sign)
 from .linalg import solve_field
 from .report import FAIL, PASS, CheckReport
 from .rings import Ring
@@ -343,23 +342,12 @@ def invert_morphism_data(f: AInfMorphism, arity_cap: int) -> AInfMorphism:
     g = MultiOp(ring, 0, arity_cap)
     for y in f.target.shift.names:
         g.set((y,), g1[y])
-    partial = AInfMorphism(f.target, f.source, g)
     for ell in range(2, arity_cap + 1):
-        # residue R_l(w) = - sum over splittings with some block of size >= 2
+        # residue R_l(w) = -g(F(w)); the all-singletons term, the one being
+        # solved for, contributes nothing because g has no arity-l entry yet
         residue: Dict[Word, Vector] = {}
         for w in f.source.words(ell, min_len=ell):
-            acc = Vector.zero(ring)
-            for split in compositions(w, f.arity_cap):
-                if len(split) == ell:
-                    continue  # the all-singletons term being solved for
-                letters = Vector.basis(ring, ())
-                for blk in split:
-                    img = f.f.apply(blk)
-                    if img.is_zero():
-                        break
-                    letters = letters.concat(img)
-                else:
-                    acc = acc + partial.f.apply_vector(letters)
+            acc = g.apply_vector(f.extended(w))
             if not acc.is_zero():
                 residue[w] = -acc
         # g_l = R_l o (f_1^{-1})^{(x)l}
@@ -371,12 +359,10 @@ def invert_morphism_data(f: AInfMorphism, arity_cap: int) -> AInfMorphism:
             for w, c in pre.terms.items():
                 r = residue.get(w)
                 if r is not None:
-                    for out, c2 in r.terms.items():
-                        val.add_term(out, ring.mul(c, c2))
+                    val.add_vector(r, c)
             if not val.is_zero():
                 g.set(wt, val)
-        partial = AInfMorphism(f.target, f.source, g)
-    return partial
+    return AInfMorphism(f.target, f.source, g)
 
 
 def twist_algebra(A: AInfAlgebra, f: AInfMorphism, arity_cap: int) -> AInfAlgebra:

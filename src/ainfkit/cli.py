@@ -319,16 +319,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_cap(args: argparse.Namespace, doc: SpecDocument) -> int:
-    if args.cap is not None:
-        return args.cap
+    """--cap, else AINF_DEFAULT_CAP, else the document's weight cap (which
+    loading has checked)."""
     env = os.environ.get("AINF_DEFAULT_CAP")
-    if env is not None:
+    if args.cap is not None:
+        source, cap = "--cap", args.cap
+    elif env is not None:
         try:
-            return int(env)
+            source, cap = "AINF_DEFAULT_CAP", int(env)
         except ValueError:
             raise ValidationError("AINF_DEFAULT_CAP=%r is not an integer"
                                   % env)
-    return doc.caps.get("weight", 4)
+    else:
+        return doc.caps.get("weight", 4)
+    if cap < 0:
+        raise ValidationError("%s %d: caps must be 0 or more" % (source, cap))
+    return cap
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -13,9 +13,10 @@ rationals as "a/b" strings, and polynomials as lists of
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from .ainf import (AInfAlgebra, AInfModule, AInfMorphism, CurvedDga,
                    HomElement, TableBimodule, b_from_m, impose_unit_laws)
@@ -55,14 +56,25 @@ class SpecDocument:
     raw: dict = field(default_factory=dict)
 
 
+def _integer(raw: Any) -> int:
+    """An integer given as a JSON integer or a decimal string; floats and
+    booleans are refused rather than truncated."""
+    if isinstance(raw, (bool, float)):
+        raise TypeError("%r is not an exact integer" % (raw,))
+    return int(raw)
+
+
 def parse_coeff(ring: Ring, raw: Any) -> Any:
-    """One coefficient in the declared ring."""
+    """One coefficient in the declared ring; floats and booleans are
+    refused rather than coerced."""
+    if isinstance(raw, (bool, float)):
+        raise TypeError("coefficient %r is not exact" % (raw,))
     if isinstance(ring, PolynomialRing):
         if isinstance(raw, (int, str)):
             return ring.from_int(int(raw))
         terms = []
         for exps, c in raw:
-            terms.append((tuple(int(e) for e in exps),
+            terms.append((tuple(_integer(e) for e in exps),
                           parse_coeff(ring.base, c)))
         return ring.normalize(terms)
     if isinstance(ring, Rationals):
@@ -117,7 +129,7 @@ def _check_entry_degree(space: GradedSpace, out_name: str, want: int,
 
 def _load_space(ring: Ring, grading: Grading, name: str,
                 raw: Any) -> GradedSpace:
-    gens = [(str(n), int(d)) for n, d in raw]
+    gens = [(str(n), _integer(d)) for n, d in raw]
     try:
         return GradedSpace(ring, grading, gens)
     except ValueError as exc:
@@ -130,7 +142,7 @@ def _load_algebra(doc: SpecDocument, name: str, raw: dict) -> AInfAlgebra:
     unit = str(raw["unit"])
     if unit not in space.gens:
         raise ValidationError("%s: unknown unit %r" % (owner, unit))
-    cap = int(raw.get("arity_cap", doc.caps["arity"]))
+    cap = _integer(raw.get("arity_cap", doc.caps["arity"]))
     kind = raw.get("tables", "b")
     shift = space.shifted()
     if kind == "m":
@@ -193,7 +205,7 @@ def _load_dga(doc: SpecDocument, name: str, raw: dict) -> CurvedDga:
             _check_entry_degree(space, y, space.grading.normalize(want),
                                 owner)
         product[(w[0], w[1])] = val
-    cap = int(raw.get("arity_cap", doc.caps["arity"]))
+    cap = _integer(raw.get("arity_cap", doc.caps["arity"]))
     return CurvedDga(space, unit, curv, d, product, cap)
 
 
@@ -201,7 +213,7 @@ def _load_module(doc: SpecDocument, name: str, raw: dict) -> AInfModule:
     owner = "module %r" % name
     algebra = _resolve_algebra(doc, raw["algebra"], owner)
     space = _need(doc.spaces, raw["space"], "space", owner)
-    cap = int(raw.get("arity_cap", doc.caps["arity"]))
+    cap = _integer(raw.get("arity_cap", doc.caps["arity"]))
     table: Dict[Tuple[str, Word], Vector] = {}
     for ent in raw.get("table", []):
         m = str(ent["m"])
@@ -231,7 +243,7 @@ def _load_morphism(doc: SpecDocument, name: str, raw: dict) -> AInfMorphism:
     owner = "morphism %r" % name
     source = _resolve_algebra(doc, raw["source"], owner)
     target = _resolve_algebra(doc, raw["target"], owner)
-    cap = int(raw.get("arity_cap", doc.caps["arity"]))
+    cap = _integer(raw.get("arity_cap", doc.caps["arity"]))
     f = MultiOp(doc.ring, 0, cap)
     for ent in raw.get("table", []):
         w = _word(ent["in"])
@@ -271,7 +283,7 @@ def _load_bimodule(doc: SpecDocument, name: str, raw: dict) -> TableBimodule:
 
 def _load_mf(doc: SpecDocument, name: str, raw: dict) -> MatrixFactorization:
     owner = "factorization %r" % name
-    even, odd = int(raw["even_rank"]), int(raw["odd_rank"])
+    even, odd = _integer(raw["even_rank"]), _integer(raw["odd_rank"])
     d = [[parse_coeff(doc.ring, v) for v in row] for row in raw["d"]]
     pot = parse_coeff(doc.ring, raw["potential"])
     try:
@@ -284,7 +296,7 @@ def _load_hom_element(doc: SpecDocument, name: str, raw: dict) -> HomElement:
     owner = "hom element %r" % name
     source = _need(doc.modules, raw["source"], "module", owner)
     target = _need(doc.modules, raw["target"], "module", owner)
-    cap = int(raw.get("cap", doc.caps["weight"]))
+    cap = _integer(raw.get("cap", doc.caps["weight"]))
     table: Dict[Tuple[str, Word], Vector] = {}
     for ent in raw.get("table", []):
         m = str(ent["m"])
@@ -299,7 +311,61 @@ def _load_hom_element(doc: SpecDocument, name: str, raw: dict) -> HomElement:
                 raise ValidationError("%s outputs unknown generator %r" %
                                       (owner, y))
         table[(m, w)] = val
-    return HomElement(source, target, int(raw.get("degree", 0)), table, cap)
+    return HomElement(source, target, _integer(raw.get("degree", 0)), table,
+                      cap)
+
+
+def _load_augmentation(doc: SpecDocument, name: str,
+                       raw: dict) -> Tuple[str, AugmentationMap]:
+    owner = "augmentation %r" % name
+    algebra = _resolve_algebra(doc, raw["algebra"], owner)
+    values = {str(k): parse_coeff(doc.ring, v)
+              for k, v in (raw.get("values") or {}).items()}
+    try:
+        aug = AugmentationMap(algebra, values,
+                              check_unit=bool(raw.get("check_unit", True)))
+    except ValueError as exc:
+        raise ValidationError("%s: %s" % (owner, exc))
+    return raw["algebra"], aug
+
+
+def _load_homotopy(doc: SpecDocument, raw: dict) -> Tuple[str, str, MultiOp]:
+    owner = "homotopy between %r and %r" % (raw["f"], raw["g"])
+    f = _need(doc.morphisms, raw["f"], "morphism", owner)
+    _need(doc.morphisms, raw["g"], "morphism", owner)
+    h = MultiOp(doc.ring, -1, f.arity_cap)
+    for ent in raw.get("h", []):
+        w = _word(ent["in"])
+        _check_letters(f.source.space, w, owner)
+        h.set(w, parse_vector(doc.ring, ent["out"], wrap_letter=True))
+    return raw["f"], raw["g"], h
+
+
+@contextmanager
+def _entity(owner: str) -> Iterator[None]:
+    """Report a malformed entry (a missing key, a value of the wrong type
+    or shape, or an unparsable one) as a ValidationError naming its
+    entity."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValidationError("%s: missing key %s" % (owner, exc)) from None
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ValidationError("%s: %s" % (owner, exc)) from None
+
+
+# document sections holding named entities: (key, entity kind, loader),
+# loaded in this order
+_SECTIONS = (
+    ("algebras", "algebra", _load_algebra),
+    ("dgas", "dga", _load_dga),
+    ("modules", "module", _load_module),
+    ("morphisms", "morphism", _load_morphism),
+    ("bimodules", "bimodule", _load_bimodule),
+    ("factorizations", "factorization", _load_mf),
+    ("augmentations", "augmentation", _load_augmentation),
+    ("hom_elements", "hom element", _load_hom_element),
+)
 
 
 def load(path: str) -> SpecDocument:
@@ -325,55 +391,32 @@ def load_dict(raw: dict) -> SpecDocument:
         ring = ring_from_descriptor(raw["ring"])
     except (UnsupportedRing, KeyError, ValueError) as exc:
         raise ValidationError("ring descriptor: %s" % exc)
-    grading_raw = raw.get("grading") or {}
-    modulus = grading_raw.get("modulus", 2)
-    grading = Grading(None if modulus is None else int(modulus))
+    with _entity("grading"):
+        modulus = (raw.get("grading") or {}).get("modulus", 2)
+        grading = Grading(None if modulus is None else _integer(modulus))
     caps = {"weight": 4, "arity": 4}
-    caps.update({k: int(v) for k, v in (raw.get("caps") or {}).items()})
+    with _entity("caps"):
+        for k, v in (raw.get("caps") or {}).items():
+            caps[k] = _integer(v)
+            if caps[k] < 0:
+                raise ValueError("cap %r is %d; caps must be 0 or more"
+                                 % (k, caps[k]))
     doc = SpecDocument(ring=ring, grading=grading, caps=caps, raw=raw)
     for name, sraw in (raw.get("spaces") or {}).items():
-        doc.spaces[name] = _load_space(ring, grading, name, sraw)
-    for name, araw in (raw.get("algebras") or {}).items():
-        doc.algebras[name] = _load_algebra(doc, name, araw)
-    for name, draw in (raw.get("dgas") or {}).items():
-        doc.dgas[name] = _load_dga(doc, name, draw)
-    for name, mraw in (raw.get("modules") or {}).items():
-        doc.modules[name] = _load_module(doc, name, mraw)
-    for name, fraw in (raw.get("morphisms") or {}).items():
-        doc.morphisms[name] = _load_morphism(doc, name, fraw)
-    for name, braw in (raw.get("bimodules") or {}).items():
-        doc.bimodules[name] = _load_bimodule(doc, name, braw)
-    for name, fraw in (raw.get("factorizations") or {}).items():
-        doc.factorizations[name] = _load_mf(doc, name, fraw)
-    for name, araw in (raw.get("augmentations") or {}).items():
-        owner = "augmentation %r" % name
-        alg_name = araw["algebra"]
-        algebra = _resolve_algebra(doc, alg_name, owner)
-        values = {str(k): parse_coeff(ring, v)
-                  for k, v in (araw.get("values") or {}).items()}
-        try:
-            aug = AugmentationMap(algebra, values,
-                                  check_unit=bool(araw.get("check_unit",
-                                                           True)))
-        except ValueError as exc:
-            raise ValidationError("%s: %s" % (owner, exc))
-        doc.augmentations[name] = (alg_name, aug)
-    for hraw in raw.get("homotopies") or []:
-        owner = "homotopy between %r and %r" % (hraw["f"], hraw["g"])
-        f = _need(doc.morphisms, hraw["f"], "morphism", owner)
-        g = _need(doc.morphisms, hraw["g"], "morphism", owner)
-        h = MultiOp(ring, -1, f.arity_cap)
-        for ent in hraw.get("h", []):
-            w = _word(ent["in"])
-            _check_letters(f.source.space, w, owner)
-            h.set(w, parse_vector(ring, ent["out"], wrap_letter=True))
-        doc.homotopies.append((hraw["f"], hraw["g"], h))
-    for name, hraw in (raw.get("hom_elements") or {}).items():
-        doc.hom_elements[name] = _load_hom_element(doc, name, hraw)
-    for iraw in raw.get("inversions") or []:
-        for key in ("phi", "psi", "h", "ell"):
-            _need(doc.hom_elements, iraw[key], "hom element",
-                  "inversion task")
-        doc.inversions.append({k: iraw[k]
-                               for k in ("phi", "psi", "h", "ell")})
+        with _entity("space %r" % name):
+            doc.spaces[name] = _load_space(ring, grading, name, sraw)
+    for key, kind, loader in _SECTIONS:
+        for name, eraw in (raw.get(key) or {}).items():
+            with _entity("%s %r" % (kind, name)):
+                getattr(doc, key)[name] = loader(doc, name, eraw)
+    for i, hraw in enumerate(raw.get("homotopies") or []):
+        with _entity("homotopy %d" % i):
+            doc.homotopies.append(_load_homotopy(doc, hraw))
+    for i, iraw in enumerate(raw.get("inversions") or []):
+        with _entity("inversion task %d" % i):
+            for key in ("phi", "psi", "h", "ell"):
+                _need(doc.hom_elements, iraw[key], "hom element",
+                      "inversion task")
+            doc.inversions.append({k: iraw[k]
+                                   for k in ("phi", "psi", "h", "ell")})
     return doc

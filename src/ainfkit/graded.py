@@ -14,8 +14,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
-from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from .rings import Ring
 
@@ -139,6 +139,11 @@ class Vector:
             out.add_term(w, self.ring.mul(c, k))
         return out
 
+    def add_vector(self, other: "Vector", coeff: Any = None) -> None:
+        """Add coeff * other (default: other) to this vector in place."""
+        for w, c in other.terms.items():
+            self.add_term(w, c if coeff is None else self.ring.mul(coeff, c))
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -249,31 +254,6 @@ class MultiOp:
                 and self.table == other.table)
 
 
-def koszul_apply(ops: Sequence[Tuple[int, Callable[[Word], Vector]]],
-                 blocks: Sequence[Word],
-                 block_parity: Callable[[Word], int],
-                 ring: Ring) -> Vector:
-    """Apply a tensor product of operations slotwise with Koszul signs.
-
-    ``ops`` is a list of (degree, word -> Vector) pairs, one per block; the
-    sign is (-1)^{sum_k |op_k| * (|block_1| + ... + |block_{k-1}|)}.  The
-    output words of all slots are concatenated.
-    """
-    if len(ops) != len(blocks):
-        raise ValueError("ops/blocks length mismatch")
-    s = 0
-    prefix_parity = 0
-    for (deg, _), block in zip(ops, blocks):
-        s += deg * prefix_parity
-        prefix_parity = (prefix_parity + block_parity(block)) % 2
-    out = Vector.basis(ring, (), ring.from_int(sign(s)))
-    for (_, fn), block in zip(ops, blocks):
-        out = out.concat(fn(block))
-        if out.is_zero():
-            break
-    return out
-
-
 def sandwich(op: MultiOp, word: Word,
               letter_parity: Callable[[str], int],
               min_arity: int = 0) -> Vector:
@@ -299,45 +279,46 @@ def sandwich(op: MultiOp, word: Word,
     return out
 
 
-def compositions(word: Word, max_block: int,
-                 max_blocks: Optional[int] = None) -> Iterator[Tuple[Word, ...]]:
-    """All ordered splittings of a word into nonempty blocks of bounded size."""
-    n = len(word)
-    if n == 0:
-        yield ()
-        return
+def block_extend(ring: Ring, n: int, max_block: int,
+                 image: Callable[[int, int], Vector]) -> Vector:
+    """The sum, over the splittings of a word of length ``n`` into nonempty
+    blocks of at most ``max_block`` letters, of the concatenated block
+    images, where ``image(i, j)`` is the image of the block word[i:j].
 
-    def rec(start: int, acc: List[Word]):
-        if start == n:
-            yield tuple(acc)
-            return
-        if max_blocks is not None and len(acc) >= max_blocks:
-            return
-        for ln in range(1, min(max_block, n - start) + 1):
-            acc.append(word[start:start + ln])
-            yield from rec(start + ln, acc)
-            acc.pop()
-
-    yield from rec(0, [])
+    The sum is built prefix by prefix, head[j] = sum_i head[i].image(i, j),
+    so a zero head or a zero image ends every splitting through it.  The
+    empty word maps to the empty word.
+    """
+    heads: List[Vector] = [Vector.basis(ring, ())]
+    for j in range(1, n + 1):
+        acc = Vector(ring)
+        for i in range(max(0, j - max_block), j):
+            if heads[i].terms:
+                img = image(i, j)
+                if img.terms:
+                    acc.add_vector(heads[i].concat(img))
+        heads.append(acc)
+    return heads[n]
 
 
 def geometric_extend(op: MultiOp, word: Word,
                      block_parity: Callable[[Word], int]) -> Vector:
     """The geometric series (op_.)^(x) on a word: sum over splittings into
-    nonempty blocks of the slotwise application.  The empty word maps to
-    itself.  Families with an arity-0 entry are refused (the series would not
+    nonempty blocks of the slotwise application, each block word[i:j] with
+    the Koszul sign (-1)^{|op| |word[:i]|}.  The empty word maps to itself.
+    Families with an arity-0 entry are refused (the series would not
     terminate)."""
     ring = op.ring
     if () in op.table:
         raise ValueError("geometric series of a family with an arity-0 part")
-    if not word:
-        return Vector.basis(ring, ())
-    out = Vector.zero(ring)
-    for split in compositions(word, op.arity_cap):
-        piece = koszul_apply([(op.degree, op.apply)] * len(split), split,
-                             block_parity, ring)
-        out = out + piece
-    return out
+    odd = op.degree % 2
+    minus = ring.from_int(-1)
+
+    def image(i: int, j: int) -> Vector:
+        v = op.apply(word[i:j])
+        return v.scaled(minus) if odd and block_parity(word[:i]) else v
+
+    return block_extend(ring, len(word), op.arity_cap, image)
 
 
 def comultiply(word: Word, ring: Ring, reduced: bool = False) -> Vector:

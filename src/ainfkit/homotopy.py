@@ -35,8 +35,7 @@ from .ainf import (AInfAlgebra, AInfModule, AInfMorphism, CurvedDga,
                    HomElement, ModuleLike, MultiOp, TableBimodule,
                    check_morphism, compose_hom, hom_differential,
                    identity_hom, module_coderivation, module_words)
-from .graded import (GradedSpace, Vector, Word, compositions, koszul_apply,
-                     sign)
+from .graded import GradedSpace, Vector, Word, sign
 from .linalg import kernel_basis_field, solve_field
 from .qmod import TensorModule, ue_functor
 from .report import FAIL, PASS, UNDECIDED, UNSUPPORTED, CheckReport
@@ -147,19 +146,25 @@ class AInfHomotopy:
         self.ring = f.ring
 
     def extended(self, w: Word) -> Vector:
-        """The connecting component: sum over splittings with one marked
-        block, earlier blocks through the first morphism, the marked block
-        through the homotopy, later blocks through the second morphism."""
+        """The connecting component: sum over the marked block w[i:j] of
+        F(w[:i]) . (-1)^{|w[:i]|} h(w[i:j]) . G(w[j:]), the blocks before
+        the marked one through the first morphism and those after it
+        through the second."""
         R = self.ring
-        out = Vector.zero(R)
-        cap = max(self.f.arity_cap, self.g.arity_cap, self.h.arity_cap)
-        for split in compositions(w, cap):
-            for j in range(len(split)):
-                ops = ([(0, self.f.f.apply)] * j
-                       + [(self.h.degree, self.h.apply)]
-                       + [(0, self.g.f.apply)] * (len(split) - j - 1))
-                out = out + koszul_apply(ops, split,
-                                         self.f.source.word_parity, R)
+        n = len(w)
+        minus = R.from_int(-1)
+        heads = [self.f.extended(w[:i]) for i in range(n)]
+        tails = [self.g.extended(w[j:]) for j in range(1, n + 1)]
+        out = Vector(R)
+        for i, head in enumerate(heads):
+            if not head.terms:
+                continue
+            if self.f.source.word_parity(w[:i]):
+                head = head.scaled(minus)
+            for j in range(i + 1, min(n, i + self.h.arity_cap) + 1):
+                mid = self.h.apply(w[i:j])
+                if mid.terms and tails[j - 1].terms:
+                    out.add_vector(head.concat(mid).concat(tails[j - 1]))
         return out
 
     def assembled(self, gen: str, w: Word) -> Vector:
@@ -242,7 +247,7 @@ def homotopy_to_derivation(f: AInfMorphism, g: AInfMorphism, h: MultiOp,
         for i, lt in enumerate(u):
             s = R.from_int(sign(pre))
             piece = F(u[:i]).concat(d_letter(lt)).concat(G(u[i + 1:]))
-            out = out + piece.scaled(s)
+            out.add_vector(piece, s)
             pre = (pre + Usrc.letter_parity(lt)) % 2
         return Utgt.normal_form(out)
 

@@ -14,17 +14,18 @@ from .rings import (Integers, IntegersMod, PolynomialRing, Ring,
                     UnsupportedRing)
 
 
-def solve_field(ring: Ring, rows: List[List[Any]], rhs: List[Any]) -> Optional[List[Any]]:
-    """Gaussian elimination over a field; returns one solution or None."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    a = [[ring.normalize(v) for v in row] + [ring.normalize(rhs[i])]
-         for i, row in enumerate(rows)]
-    if m and any(len(row) != n + 1 for row in a):
-        raise ValueError("ragged matrix")
-    pivots = []  # (row, col)
+def _eliminate(ring: Ring, a: List[List[Any]],
+               n: int) -> List[Tuple[int, int]]:
+    """Gauss-Jordan elimination of ``a`` in place over a field, pivoting on
+    the first nonzero entry of each of the first ``n`` columns in turn (the
+    columns after them are carried along); returns the (row, column)
+    pivots.  Each pivot row is scaled to 1 and its column cleared."""
+    m = len(a)
+    pivots = []
     r = 0
     for c in range(n):
+        if r == m:
+            break
         pr = None
         for i in range(r, m):
             if not ring.is_zero(a[i][c]):
@@ -38,13 +39,23 @@ def solve_field(ring: Ring, rows: List[List[Any]], rhs: List[Any]) -> Optional[L
         for i in range(m):
             if i != r and not ring.is_zero(a[i][c]):
                 f = a[i][c]
-                a[i] = [ring.sub(a[i][j], ring.mul(f, a[r][j]))
-                        for j in range(n + 1)]
+                a[i] = [ring.sub(v, ring.mul(f, p))
+                        for v, p in zip(a[i], a[r])]
         pivots.append((r, c))
         r += 1
-        if r == m:
-            break
-    for i in range(r, m):
+    return pivots
+
+
+def solve_field(ring: Ring, rows: List[List[Any]], rhs: List[Any]) -> Optional[List[Any]]:
+    """Gaussian elimination over a field; returns one solution or None."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    a = [[ring.normalize(v) for v in row] + [ring.normalize(rhs[i])]
+         for i, row in enumerate(rows)]
+    if m and any(len(row) != n + 1 for row in a):
+        raise ValueError("ragged matrix")
+    pivots = _eliminate(ring, a, n)
+    for i in range(len(pivots), m):
         if not ring.is_zero(a[i][n]):
             return None
     x = [ring.zero] * n
@@ -55,31 +66,9 @@ def solve_field(ring: Ring, rows: List[List[Any]], rhs: List[Any]) -> Optional[L
 
 def kernel_basis_field(ring: Ring, rows: List[List[Any]]) -> List[List[Any]]:
     """Basis of the null space of A over a field."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
+    n = len(rows[0]) if rows else 0
     a = [[ring.normalize(v) for v in row] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = None
-        for i in range(r, m):
-            if not ring.is_zero(a[i][c]):
-                pr = i
-                break
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        piv = ring.inv(a[r][c])
-        a[r] = [ring.mul(piv, v) for v in a[r]]
-        for i in range(m):
-            if i != r and not ring.is_zero(a[i][c]):
-                f = a[i][c]
-                a[i] = [ring.sub(a[i][j], ring.mul(f, a[r][j]))
-                        for j in range(n)]
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
+    pivots = _eliminate(ring, a, n)
     pivot_cols = {c for (_, c) in pivots}
     basis = []
     for free in range(n):

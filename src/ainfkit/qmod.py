@@ -261,7 +261,7 @@ def check_lambda_closed(Q: TensorModule, cap: int) -> CheckReport:
             lambda p: module_coderivation(Q, p[0], p[1]))
         rhs = Vector.zero(Q.ring)
         for (m2, a2), c in module_coderivation(M, m, alpha).terms.items():
-            rhs = rhs + lambda_operator(Q, m2, a2).scaled(c)
+            rhs.add_vector(lambda_operator(Q, m2, a2), c)
         if lhs != rhs:
             rep.fail(((m, alpha), rhs, lhs))
             break
@@ -483,17 +483,7 @@ def ue_functor(f: AInfMorphism, Utgt: UAlgebra) -> Callable[[UWord], Vector]:
     R = f.source.ring
 
     def on_letter(lt) -> Vector:
-        out = Vector.zero(R)
-
-        def rec(rest: Word, acc: Word, coeff) -> None:
-            if not rest:
-                out.add_term((acc,), coeff)
-                return
-            for i in range(1, len(rest) + 1):
-                for w2, c2 in f.f.apply(rest[:i]).terms.items():
-                    rec(rest[i:], acc + tuple(w2), R.mul(coeff, c2))
-        rec(tuple(lt), (), R.one)
-        return out
+        return f.extended(tuple(lt)).map_words(lambda w: (w,))
 
     def fn(u: UWord) -> Vector:
         partial = Vector.basis(R, ())

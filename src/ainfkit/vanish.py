@@ -62,7 +62,7 @@ def perturbation_series(first: Vector, step: Callable[[Vector], Vector],
         if steps >= bound:
             raise UnsupportedStructure("%s did not terminate within %d steps"
                                        % (name, bound), term)
-        total = total + term
+        total.add_vector(term)
         term = step(term)
         steps += 1
     return steps, total, term

@@ -2,6 +2,9 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -352,3 +355,60 @@ def test_cap_resolution(write, capsys, monkeypatch):
     monkeypatch.setenv("AINF_DEFAULT_CAP", "nope")
     assert cli.main(["check-algebra", path]) == 2
     capsys.readouterr()
+    # a negative cap is refused, never a vacuous PASS
+    code, out = run(capsys, "check-algebra", path, "--cap", "-1")
+    assert code == 2 and out == ""
+    monkeypatch.setenv("AINF_DEFAULT_CAP", "-1")
+    code, out = run(capsys, "check-algebra", path)
+    assert code == 2 and out == ""
+    monkeypatch.delenv("AINF_DEFAULT_CAP")
+    doc = copy.deepcopy(DOC_CURVED)
+    doc["caps"]["weight"] = -1
+    assert cli.main(["check-algebra", write(doc, "neg.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "caps" in captured.err
+
+
+def _set(path, value):
+    def mutate(doc):
+        *keys, last = path
+        for k in keys:
+            doc = doc[k]
+        doc[last] = value
+    return mutate
+
+
+def _drop(path):
+    def mutate(doc):
+        *keys, last = path
+        for k in keys:
+            doc = doc[k]
+        del doc[last]
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, entity", [
+    (_set(("algebras", "A", "table", 1, "out"), [["e", "abc"]]),
+     "algebra 'A'"),
+    (_drop(("algebras", "A", "space")), "algebra 'A'"),
+    (_set(("spaces", "A", 1), ["u", "x"]), "space 'A'"),
+    (_set(("algebras", "A", "table", 1, "out"), [["e", 2.7]]),
+     "algebra 'A'"),
+    (_set(("modules", "M", "table", 0, "out"), [["y", True]]),
+     "module 'M'"),
+    (_set(("algebras", "A", "arity_cap"), 2.7), "algebra 'A'"),
+    (_set(("grading",), ["x"]), "grading"),
+], ids=["coefficient-abc", "missing-space", "degree-x", "float-coefficient",
+        "bool-coefficient", "float-arity-cap", "grading-not-an-object"])
+def test_malformed_document_exits_2_naming_the_entity(write, mutate,
+                                                      entity):
+    doc = copy.deepcopy(DOC_CURVED)
+    mutate(doc)
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ainfkit.cli", "check-algebra", write(doc)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert entity in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""

@@ -1,13 +1,17 @@
 """Koszul machinery: signs, coderivations, geometric series, coproducts."""
 
+import itertools
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ainfkit.adjoint import UAlgebra, inclusion_extended
+from ainfkit.ainf import AInfAlgebra, AInfMorphism
 from ainfkit.graded import (GradedSpace, Grading, MultiOp, Vector, comultiply,
-                            compositions, geometric_extend, koszul_apply,
-                            sandwich, sign)
+                            geometric_extend, sandwich, sign)
+from ainfkit.homotopy import AInfHomotopy
+from ainfkit.qmod import ue_functor
 from ainfkit.rings import Integers, IntegersMod
 
 Z = Integers()
@@ -18,17 +22,84 @@ def parities(table):
     return lambda x: table[x]
 
 
+# -- brute-force splitting reference ----------------------------------------
+
+
+def compositions(word, max_block):
+    """All ordered splittings of a word into nonempty blocks of bounded
+    size."""
+    if not word:
+        yield ()
+        return
+    for ln in range(1, min(max_block, len(word)) + 1):
+        for rest in compositions(word[ln:], max_block):
+            yield (word[:ln],) + rest
+
+
+def koszul_apply(ops, blocks, block_parity, ring):
+    """(op_1 (x) ... (x) op_k)(block_1 (x) ... (x) block_k): the slot images
+    concatenated, with the sign (-1)^{sum_k |op_k| (|block_1| + ... +
+    |block_{k-1}|)}."""
+    s = pre = 0
+    out = Vector.basis(ring, ())
+    for (deg, fn), blk in zip(ops, blocks):
+        s += deg * pre
+        pre += block_parity(blk)
+        out = out.concat(fn(blk))
+    return out.scaled(ring.from_int(sign(s)))
+
+
+def reference_extend(word, max_block, ops_for, block_parity, ring):
+    """Sum of ``koszul_apply`` over every splitting; ``ops_for(k)`` lists
+    the slot operations of the splittings into k blocks (several lists for
+    a sum over marked blocks)."""
+    out = Vector(ring)
+    for split in compositions(word, max_block):
+        for ops in ops_for(len(split)):
+            out = out + koszul_apply(ops, split, block_parity, ring)
+    return out
+
+
+def random_family(rng, ring, degree, names, arity_cap, out_len=1):
+    op = MultiOp(ring, degree, arity_cap)
+    for ln in range(1, arity_cap + 1):
+        for w in itertools.product(names, repeat=ln):
+            val = Vector(ring)
+            for y in itertools.product(names, repeat=out_len):
+                c = rng.randrange(5)
+                if c and rng.random() < 0.6:
+                    val.add_term(y, c)
+            op.set(w, val)
+    return op
+
+
+# shifted degrees: e and a are odd letters, b is even
+SPACE = GradedSpace(F5, Grading(2), [("e", 0), ("a", 0), ("b", 1)])
+SHIFT = SPACE.shifted()
+WORDS = [w for ln in range(5) for w in itertools.product(SHIFT.names,
+                                                         repeat=ln)]
+
+
 def test_koszul_two_slot_sign_oracle():
     # (phi (x) psi)(x (x) y) = (-1)^{|psi||x|} phi(x) (x) psi(y)
     phi = (1, lambda w: Vector.basis(Z, ("p",)))
     psi = (1, lambda w: Vector.basis(Z, ("q",)))
     par = parities({"x": 1, "y": 0})
-    out = koszul_apply([phi, psi], [("x",), ("y",)],
-                       lambda blk: sum(par(t) for t in blk) % 2, Z)
+
+    def word_par(blk):
+        return sum(par(t) for t in blk) % 2
+
+    out = koszul_apply([phi, psi], [("x",), ("y",)], word_par, Z)
     assert out.terms == {("p", "q"): -1}
-    out = koszul_apply([phi, psi], [("y",), ("x",)],
-                       lambda blk: sum(par(t) for t in blk) % 2, Z)
+    out = koszul_apply([phi, psi], [("y",), ("x",)], word_par, Z)
     assert out.terms == {("p", "q"): 1}
+    # the geometric series of one odd family carries the same signs
+    op = MultiOp(Z, 1, 1, {("x",): Vector.basis(Z, ("p",)),
+                           ("y",): Vector.basis(Z, ("q",))})
+    assert geometric_extend(op, ("x", "y"), word_par).terms == {
+        ("p", "q"): -1}
+    assert geometric_extend(op, ("y", "x"), word_par).terms == {
+        ("q", "p"): 1}
 
 
 def test_sandwich_oracle():
@@ -58,7 +129,6 @@ def random_odd_family(rng, names, par, arity_cap, ring, with_zero):
     lo = 0 if with_zero else 1
     for ln in range(lo, arity_cap + 1):
         words = [()] if ln == 0 else None
-        import itertools
         for w in itertools.product(names, repeat=ln):
             val = Vector(ring)
             for y in names:
@@ -104,7 +174,6 @@ def test_geometric_extension_is_coalgebra_morphism(seed):
     names = ("a", "b")
     par = parities({"a": 1, "b": 0})
     f = MultiOp(F5, 0, 2)
-    import itertools
     for ln in (1, 2):
         for w in itertools.product(names, repeat=ln):
             val = Vector(F5)
@@ -148,6 +217,68 @@ def test_comultiply_counts_and_coassociativity():
     assert lhs == rhs
 
 
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from([0, 1]))
+def test_geometric_extend_matches_the_splitting_reference(seed, degree):
+    rng = random.Random(seed)
+    op = random_family(rng, F5, degree, SHIFT.names, 3, out_len=2)
+    for w in WORDS:
+        want = reference_extend(w, 3, lambda k: [[(degree, op.apply)] * k],
+                                SHIFT.word_parity, F5)
+        assert geometric_extend(op, w, SHIFT.word_parity) == want, w
+
+
+def algebra():
+    return AInfAlgebra(SPACE, "e", MultiOp(F5, 1, 2))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_homotopy_extension_matches_the_splitting_reference(seed):
+    rng = random.Random(seed)
+    A = algebra()
+    f = AInfMorphism(A, A, random_family(rng, F5, 0, SHIFT.names, 2))
+    g = AInfMorphism(A, A, random_family(rng, F5, 0, SHIFT.names, 3))
+    h = random_family(rng, F5, -1, SHIFT.names, 2)
+    H = AInfHomotopy(f, g, h)
+
+    def marked(k):
+        return [[(0, f.f.apply)] * i + [(-1, h.apply)]
+                + [(0, g.f.apply)] * (k - i - 1) for i in range(k)]
+
+    for w in WORDS:
+        want = reference_extend(w, 3, marked, SHIFT.word_parity, F5)
+        assert H.extended(w) == want, w
+
+
+def test_inclusion_extension_matches_the_splitting_reference():
+    U = UAlgebra(algebra())
+
+    def pack(blk):
+        return U.normal_form((blk,)).map_words(lambda u: (u,))
+
+    words = [w for w in WORDS if "e" in w]
+    assert any(inclusion_extended(U, w).terms for w in words)
+    for w in words:
+        want = reference_extend(w, len(w), lambda k: [[(0, pack)] * k],
+                                SHIFT.word_parity, F5)
+        assert inclusion_extended(U, w) == want, w
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_ue_functor_letter_map_matches_the_splitting_reference(seed):
+    rng = random.Random(seed)
+    A = algebra()
+    U = UAlgebra(A)
+    f = AInfMorphism(A, A, random_family(rng, F5, 0, SHIFT.names, 3))
+    F = ue_functor(f, U)
+    for lt in WORDS[1:]:
+        want = reference_extend(lt, len(lt), lambda k: [[(0, f.f.apply)] * k],
+                                SHIFT.word_parity, F5)
+        assert F((lt,)) == U.normal_form(want.map_words(lambda w: (w,))), lt
+
+
 def test_compositions_enumeration():
     w = ("a", "b", "c")
     got = set(compositions(w, 2))
@@ -173,6 +304,11 @@ def test_concat_is_associative_and_drops_cancelled_terms():
     y = Vector(Z, {("b", "c"): 1, ("c",): -1})
     # (a,b,c) arises as a.(b,c) and as (a,b).c with opposite signs
     assert x.concat(y).terms == {("a", "c"): -1, ("a", "b", "b", "c"): 1}
+    # in-place accumulation drops cancelled terms and leaves its argument
+    acc = Vector(Z, {("a",): 2})
+    acc.add_vector(x, -2)
+    assert acc.terms == {("a", "b"): -2}
+    assert x.terms == {("a",): 1, ("a", "b"): 1}
     z = Vector(F5, {("c",): 2, (): 3})
     x5, y5 = Vector(F5, x.terms), Vector(F5, y.terms)
     assert x5.concat(y5).concat(z) == x5.concat(y5.concat(z))
