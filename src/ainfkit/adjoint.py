@@ -37,12 +37,11 @@ differential then satisfies the curved Leibniz rule and d^2 m = -m.c
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Tuple
 
-from .ainf import AInfAlgebra, AInfModule, AInfMorphism, CurvedDga, ModuleLike
+from .ainf import AInfAlgebra, AInfModule, AInfMorphism, CurvedDga
 from .graded import Vector, Word, block_extend, sign
 from .report import FAIL, PASS, CheckReport
-from .rings import Ring
 
 Letter = Tuple[str, ...]        # nonempty word of A[1] generator names
 UWord = Tuple[Letter, ...]      # concatenation word; () is the unit

@@ -17,7 +17,6 @@ code paths are kept separate on purpose so they can cross-check each other.
 
 from __future__ import annotations
 
-import itertools
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 

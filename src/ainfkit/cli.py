@@ -17,7 +17,8 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, List, Optional, Tuple
 
 from .adjoint import (UAlgebra, check_ideal_stability, check_u_curvature,
                       dg_module_axioms, module_to_ue, ue_to_module)
@@ -28,8 +29,7 @@ from .homotopy import (TheoremViolation, check_ainf_homotopy, invert_homotopy,
                        quillen_classical_components, ue_contraction)
 from .qmod import (check_epsilon_closed, check_lambda_closed,
                    check_q_homotopy, check_triangle, q_module)
-from .report import FAIL, PASS, UNDECIDED, UNSUPPORTED, CheckReport
-from .rings import inclusion_to_rationals, reduction_mod
+from .report import FAIL, UNDECIDED, UNSUPPORTED, CheckReport
 from .vanish import (MaurerCartanProblem, UnsupportedStructure, base_change,
                      check_gamma_agreement, kp_contraction, mc_criterion,
                      mf_check, mf_module)
@@ -84,14 +84,9 @@ def _mc_report(A, cap: int) -> CheckReport:
     return rep
 
 
-def _invert_report(doc: SpecDocument, task: Dict[str, str],
-                   cap: int) -> CheckReport:
-    phi = doc.hom_elements[task["phi"]]
-    psi = doc.hom_elements[task["psi"]]
-    h = doc.hom_elements[task["h"]]
-    ell = doc.hom_elements[task["ell"]]
+def _invert_report(homs, cap: int) -> CheckReport:
     try:
-        _, _, rep = invert_homotopy(phi, psi, h, ell, cap)
+        _, _, rep = invert_homotopy(*homs, cap)
         return rep
     except TheoremViolation as exc:
         rep = CheckReport("homotopy-inversion",
@@ -115,11 +110,23 @@ def _build_ue_report(A, cap: int) -> CheckReport:
     return rep
 
 
+# Target collections: each maps a document to its (label, item) pairs.
+
+def _entities(key: str, prefix: str) -> Callable:
+    def targets(doc: SpecDocument):
+        named = getattr(doc, key)
+        return [(prefix + name, named[name]) for name in sorted(named)]
+    return targets
+
+
+_ALGEBRAS = _entities("algebras", "algebra:")
+_MODULES = _entities("modules", "module:")
+_MORPHISMS = _entities("morphisms", "morphism:")
+
+
 def _algebra_items(doc: SpecDocument):
-    for name in sorted(doc.algebras):
-        yield "algebra:" + name, doc.algebras[name]
-    for name in sorted(doc.dgas):
-        yield "dga:" + name, doc.dgas[name].algebra
+    return _ALGEBRAS(doc) + [("dga:" + name, doc.dgas[name].algebra)
+                             for name in sorted(doc.dgas)]
 
 
 def _modules_over(doc: SpecDocument, algebra):
@@ -128,143 +135,114 @@ def _modules_over(doc: SpecDocument, algebra):
             yield name, doc.modules[name]
 
 
-def build_tasks(command: str, doc: SpecDocument, cap: int) -> List[Task]:
-    tasks: List[Task] = []
-    if command == "check-algebra":
-        for name in sorted(doc.algebras):
-            A = doc.algebras[name]
-            tasks.append(("algebra:" + name,
-                          lambda A=A: check_algebra(A, cap)))
-        for name in sorted(doc.dgas):
-            D = doc.dgas[name]
-            tasks.append(("dga:" + name,
-                          lambda D=D: curved_dga_axioms(D, min(cap, 3))))
-    elif command == "check-morphism":
-        for name in sorted(doc.morphisms):
-            f = doc.morphisms[name]
-            tasks.append(("morphism:" + name,
-                          lambda f=f: check_morphism(f, cap)))
-    elif command == "check-module":
-        for name in sorted(doc.modules):
-            M = doc.modules[name]
-            tasks.append(("module:" + name,
-                          lambda M=M: check_module(M, cap)))
-    elif command == "check-bimodule":
-        for name in sorted(doc.bimodules):
-            V = doc.bimodules[name]
-            tasks.append(("bimodule:" + name,
-                          lambda V=V: check_bimodule(V, cap)))
-    elif command == "build-ue":
-        for label, A in _algebra_items(doc):
-            tasks.append((label, lambda A=A: _build_ue_report(A, cap)))
-    elif command == "check-ue":
-        for label, A in _algebra_items(doc):
-            tasks.append((label,
-                          lambda A=A: check_u_curvature(UAlgebra(A), cap)))
-    elif command == "check-ideal":
-        for label, A in _algebra_items(doc):
-            tasks.append((label,
-                          lambda A=A: check_ideal_stability(UAlgebra(A),
-                                                            cap)))
-    elif command == "identify-modules":
-        for name in sorted(doc.modules):
-            M = doc.modules[name]
-            tasks.append(("module:" + name + ":axioms",
-                          lambda M=M: dg_module_axioms(module_to_ue(M),
-                                                       cap)))
-            tasks.append(("module:" + name + ":roundtrip",
-                          lambda M=M: _roundtrip_report(M, cap)))
-    elif command == "check-q-adjunction":
-        for name in sorted(doc.modules):
-            M = doc.modules[name]
-            for tag, fn in (("lambda", check_lambda_closed),
-                            ("epsilon", check_epsilon_closed),
-                            ("triangle", check_triangle)):
-                tasks.append(("module:" + name + ":" + tag,
-                              lambda M=M, fn=fn: fn(q_module(M), cap)))
-    elif command == "check-q-homotopy":
-        for name in sorted(doc.modules):
-            M = doc.modules[name]
-            tasks.append(("module:" + name,
-                          lambda M=M: check_q_homotopy(q_module(M), cap)))
-    elif command == "kp-vanish":
-        for aname in sorted(doc.augmentations):
-            alg_name, aug = doc.augmentations[aname]
-            algebra = (doc.algebras.get(alg_name)
-                       or doc.dgas[alg_name].algebra)
-            for mname, M in _modules_over(doc, algebra):
-                label = "augmentation:%s:module:%s" % (aname, mname)
-                tasks.append((label, _guard(
-                    "kp-contraction", cap,
-                    lambda M=M, aug=aug: kp_contraction(M, aug, cap)[1])))
-    elif command == "gamma-check":
-        for aname in sorted(doc.augmentations):
-            alg_name, aug = doc.augmentations[aname]
-            if alg_name not in doc.dgas:
-                continue
+def _augmented_modules(doc: SpecDocument):
+    for aname in sorted(doc.augmentations):
+        alg_name, aug = doc.augmentations[aname]
+        algebra = (doc.algebras.get(alg_name)
+                   or doc.dgas[alg_name].algebra)
+        for mname, M in _modules_over(doc, algebra):
+            yield "augmentation:%s:module:%s" % (aname, mname), (M, aug)
+
+
+def _augmented_dga_modules(doc: SpecDocument):
+    for aname in sorted(doc.augmentations):
+        alg_name, aug = doc.augmentations[aname]
+        if alg_name in doc.dgas:
             D = doc.dgas[alg_name]
             for mname, M in _modules_over(doc, D.algebra):
-                label = "augmentation:%s:module:%s" % (aname, mname)
-                tasks.append((label, _guard(
-                    "gamma-agreement", cap,
-                    lambda D=D, M=M, aug=aug:
-                    check_gamma_agreement(D, M, aug, cap))))
-    elif command == "mc-test":
-        for label, A in _algebra_items(doc):
-            tasks.append((label, lambda A=A: _mc_report(A, cap)))
-    elif command == "mf-check":
-        for name in sorted(doc.factorizations):
-            F = doc.factorizations[name]
-            tasks.append(("factorization:" + name,
-                          lambda F=F: mf_check(F, cap)))
-            tasks.append(("factorization:" + name + ":module",
-                          lambda F=F: check_module(mf_module(F), cap)))
-    elif command == "base-change":
-        desc = doc.raw.get("base_change")
-        if not desc:
+                yield ("augmentation:%s:module:%s" % (aname, mname),
+                       (D, M, aug))
+
+
+def _with_base_change(targets: Callable) -> Callable:
+    def paired(doc: SpecDocument):
+        if doc.base_change is None:
             raise ValidationError("base-change needs a 'base_change' "
                                   "descriptor in the document")
-        kind = desc.get("kind")
-        if kind == "mod":
-            hom = reduction_mod(int(desc["n"]))
-        elif kind == "rationals":
-            hom = inclusion_to_rationals()
-        else:
-            raise ValidationError("unknown base change kind %r" % (kind,))
-        for name in sorted(doc.algebras):
-            A = doc.algebras[name]
-            tasks.append(("algebra:" + name, _guard(
-                "base-change", cap,
-                lambda A=A: check_algebra(base_change(A, hom), cap))))
-        for name in sorted(doc.modules):
-            M = doc.modules[name]
-            tasks.append(("module:" + name, _guard(
-                "base-change", cap,
-                lambda M=M: check_module(base_change(M, hom), cap))))
-    elif command == "invert-homotopy":
-        for i, task in enumerate(doc.inversions):
-            label = "inversion:%d:%s" % (i, task["phi"])
-            tasks.append((label,
-                          lambda task=task: _invert_report(doc, task, cap)))
-    elif command == "ue-contract":
-        for label, A in _algebra_items(doc):
-            tasks.append((label, _guard(
-                "ue-contraction", cap,
-                lambda A=A: ue_contraction(A, cap)[1])))
-    elif command == "homotopy-check":
-        for fname, gname, h in doc.homotopies:
-            f = doc.morphisms[fname]
-            g = doc.morphisms[gname]
-            tasks.append(("homotopy:%s~%s" % (fname, gname),
-                          lambda f=f, g=g, h=h:
-                          check_ainf_homotopy(f, g, h, cap)))
-    elif command == "quillen-components":
-        for name in sorted(doc.morphisms):
-            f = doc.morphisms[name]
-            tasks.append(("morphism:" + name,
-                          lambda f=f: quillen_classical_components(f, cap)))
-    else:  # pragma: no cover - argparse restricts the choices
-        raise ValidationError("unknown command %r" % command)
+        return [(label, (X, doc.base_change)) for label, X in targets(doc)]
+    return paired
+
+
+def _inversions(doc: SpecDocument):
+    return [("inversion:%d:%s" % (i, task["phi"]),
+             [doc.hom_elements[task[k]] for k in ("phi", "psi", "h", "ell")])
+            for i, task in enumerate(doc.inversions)]
+
+
+def _homotopies(doc: SpecDocument):
+    return [("homotopy:%s~%s" % (f, g),
+             (doc.morphisms[f], doc.morphisms[g], h))
+            for f, g, h in doc.homotopies]
+
+
+# command -> groups of targets, run in order.  A group is (targets, checks,
+# guard): each (label, item) of ``targets(doc)`` runs every check of the
+# {suffix: check} dict as ``check(item, cap)``, labelled label + suffix, and
+# with ``guard`` set an UnsupportedStructure becomes an UNSUPPORTED report
+# of that name.  The lambdas look a function up when the check runs, so a
+# patched module attribute (a tracer, a test double) takes effect.
+_TABLE = {
+    "check-algebra": [
+        (_ALGEBRAS, {"": lambda A, cap: check_algebra(A, cap)}, None),
+        (_entities("dgas", "dga:"),
+         {"": lambda D, cap: curved_dga_axioms(D, min(cap, 3))}, None)],
+    "check-morphism": [
+        (_MORPHISMS, {"": lambda f, cap: check_morphism(f, cap)}, None)],
+    "check-module": [
+        (_MODULES, {"": lambda M, cap: check_module(M, cap)}, None)],
+    "check-bimodule": [
+        (_entities("bimodules", "bimodule:"),
+         {"": lambda V, cap: check_bimodule(V, cap)}, None)],
+    "build-ue": [(_algebra_items, {"": _build_ue_report}, None)],
+    "check-ue": [(_algebra_items, {
+        "": lambda A, cap: check_u_curvature(UAlgebra(A), cap)}, None)],
+    "check-ideal": [(_algebra_items, {
+        "": lambda A, cap: check_ideal_stability(UAlgebra(A), cap)}, None)],
+    "identify-modules": [(_MODULES, {
+        ":axioms": lambda M, cap: dg_module_axioms(module_to_ue(M), cap),
+        ":roundtrip": _roundtrip_report}, None)],
+    "check-q-adjunction": [(_MODULES, {
+        ":lambda": lambda M, cap: check_lambda_closed(q_module(M), cap),
+        ":epsilon": lambda M, cap: check_epsilon_closed(q_module(M), cap),
+        ":triangle": lambda M, cap: check_triangle(q_module(M), cap)}, None)],
+    "check-q-homotopy": [(_MODULES, {
+        "": lambda M, cap: check_q_homotopy(q_module(M), cap)}, None)],
+    "kp-vanish": [(_augmented_modules, {
+        "": lambda Ma, cap: kp_contraction(*Ma, cap)[1]}, "kp-contraction")],
+    "gamma-check": [(_augmented_dga_modules, {
+        "": lambda DMa, cap: check_gamma_agreement(*DMa, cap)},
+        "gamma-agreement")],
+    "mc-test": [(_algebra_items, {"": _mc_report}, None)],
+    "mf-check": [(_entities("factorizations", "factorization:"), {
+        "": lambda F, cap: mf_check(F, cap),
+        ":module": lambda F, cap: check_module(mf_module(F), cap)}, None)],
+    "base-change": [
+        (_with_base_change(_ALGEBRAS), {
+            "": lambda Ah, cap: check_algebra(base_change(*Ah), cap)},
+         "base-change"),
+        (_with_base_change(_MODULES), {
+            "": lambda Mh, cap: check_module(base_change(*Mh), cap)},
+         "base-change")],
+    "invert-homotopy": [(_inversions, {"": _invert_report}, None)],
+    "ue-contract": [(_algebra_items, {
+        "": lambda A, cap: ue_contraction(A, cap)[1]}, "ue-contraction")],
+    "homotopy-check": [(_homotopies, {
+        "": lambda fgh, cap: check_ainf_homotopy(*fgh, cap)}, None)],
+    "quillen-components": [(_MORPHISMS, {
+        "": lambda f, cap: quillen_classical_components(f, cap)}, None)],
+}
+
+COMMANDS = list(_TABLE)
+
+
+def build_tasks(command: str, doc: SpecDocument, cap: int) -> List[Task]:
+    tasks: List[Task] = []
+    for targets, checks, guard in _TABLE[command]:
+        for label, item in targets(doc):
+            for suffix, check in checks.items():
+                fn = partial(check, item, cap)
+                tasks.append((label + suffix,
+                              _guard(guard, cap, fn) if guard else fn))
     return tasks
 
 
@@ -290,14 +268,6 @@ def render(results: List[Tuple[str, CheckReport]], fmt: str) -> str:
     for label, rep in results:
         lines.append("%-40s %s" % (label, rep))
     return "\n".join(lines)
-
-
-COMMANDS = ["check-algebra", "check-morphism", "check-module",
-            "check-bimodule", "build-ue", "check-ue", "check-ideal",
-            "identify-modules", "check-q-adjunction", "check-q-homotopy",
-            "kp-vanish", "gamma-check", "mc-test", "mf-check", "base-change",
-            "invert-homotopy", "ue-contract", "homotopy-check",
-            "quillen-components"]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,7 +3,8 @@
 One document declares a coefficient ring, a grading group, named generator
 spaces, and any number of structures over them (algebras as m- or b-tables,
 classical curved dg-algebras, modules, morphisms, bimodules, matrix
-factorizations, augmentations, homotopies, and hom-elements).  Loading
+factorizations, augmentations, homotopies, and hom-elements), and
+optionally a base change of coefficients out of the integers.  Loading
 validates that every referenced name exists and that every table entry is
 degree-consistent; integers travel as arbitrary-precision decimal strings,
 rationals as "a/b" strings, and polynomials as lists of
@@ -22,7 +23,9 @@ from .ainf import (AInfAlgebra, AInfModule, AInfMorphism, CurvedDga,
                    HomElement, TableBimodule, b_from_m, impose_unit_laws)
 from .graded import GradedSpace, Grading, MultiOp, Vector, Word
 from .rings import (Integers, IntegersMod, PolynomialRing, Rationals, Ring,
-                    UnsupportedRing, ring_from_descriptor)
+                    RingHom, UnsupportedRing, exact_integer,
+                    inclusion_to_rationals, reduction_mod,
+                    ring_from_descriptor)
 from .vanish import AugmentationMap, MatrixFactorization
 
 
@@ -53,15 +56,7 @@ class SpecDocument:
     homotopies: List[Tuple[str, str, MultiOp]] = field(default_factory=list)
     hom_elements: Dict[str, HomElement] = field(default_factory=dict)
     inversions: List[Dict[str, str]] = field(default_factory=list)
-    raw: dict = field(default_factory=dict)
-
-
-def _integer(raw: Any) -> int:
-    """An integer given as a JSON integer or a decimal string; floats and
-    booleans are refused rather than truncated."""
-    if isinstance(raw, (bool, float)):
-        raise TypeError("%r is not an exact integer" % (raw,))
-    return int(raw)
+    base_change: Optional[RingHom] = None
 
 
 def parse_coeff(ring: Ring, raw: Any) -> Any:
@@ -74,7 +69,7 @@ def parse_coeff(ring: Ring, raw: Any) -> Any:
             return ring.from_int(int(raw))
         terms = []
         for exps, c in raw:
-            terms.append((tuple(_integer(e) for e in exps),
+            terms.append((tuple(exact_integer(e) for e in exps),
                           parse_coeff(ring.base, c)))
         return ring.normalize(terms)
     if isinstance(ring, Rationals):
@@ -129,7 +124,7 @@ def _check_entry_degree(space: GradedSpace, out_name: str, want: int,
 
 def _load_space(ring: Ring, grading: Grading, name: str,
                 raw: Any) -> GradedSpace:
-    gens = [(str(n), _integer(d)) for n, d in raw]
+    gens = [(str(n), exact_integer(d)) for n, d in raw]
     try:
         return GradedSpace(ring, grading, gens)
     except ValueError as exc:
@@ -142,7 +137,7 @@ def _load_algebra(doc: SpecDocument, name: str, raw: dict) -> AInfAlgebra:
     unit = str(raw["unit"])
     if unit not in space.gens:
         raise ValidationError("%s: unknown unit %r" % (owner, unit))
-    cap = _integer(raw.get("arity_cap", doc.caps["arity"]))
+    cap = exact_integer(raw.get("arity_cap", doc.caps["arity"]))
     kind = raw.get("tables", "b")
     shift = space.shifted()
     if kind == "m":
@@ -205,7 +200,7 @@ def _load_dga(doc: SpecDocument, name: str, raw: dict) -> CurvedDga:
             _check_entry_degree(space, y, space.grading.normalize(want),
                                 owner)
         product[(w[0], w[1])] = val
-    cap = _integer(raw.get("arity_cap", doc.caps["arity"]))
+    cap = exact_integer(raw.get("arity_cap", doc.caps["arity"]))
     return CurvedDga(space, unit, curv, d, product, cap)
 
 
@@ -213,7 +208,7 @@ def _load_module(doc: SpecDocument, name: str, raw: dict) -> AInfModule:
     owner = "module %r" % name
     algebra = _resolve_algebra(doc, raw["algebra"], owner)
     space = _need(doc.spaces, raw["space"], "space", owner)
-    cap = _integer(raw.get("arity_cap", doc.caps["arity"]))
+    cap = exact_integer(raw.get("arity_cap", doc.caps["arity"]))
     table: Dict[Tuple[str, Word], Vector] = {}
     for ent in raw.get("table", []):
         m = str(ent["m"])
@@ -243,7 +238,7 @@ def _load_morphism(doc: SpecDocument, name: str, raw: dict) -> AInfMorphism:
     owner = "morphism %r" % name
     source = _resolve_algebra(doc, raw["source"], owner)
     target = _resolve_algebra(doc, raw["target"], owner)
-    cap = _integer(raw.get("arity_cap", doc.caps["arity"]))
+    cap = exact_integer(raw.get("arity_cap", doc.caps["arity"]))
     f = MultiOp(doc.ring, 0, cap)
     for ent in raw.get("table", []):
         w = _word(ent["in"])
@@ -283,7 +278,7 @@ def _load_bimodule(doc: SpecDocument, name: str, raw: dict) -> TableBimodule:
 
 def _load_mf(doc: SpecDocument, name: str, raw: dict) -> MatrixFactorization:
     owner = "factorization %r" % name
-    even, odd = _integer(raw["even_rank"]), _integer(raw["odd_rank"])
+    even, odd = exact_integer(raw["even_rank"]), exact_integer(raw["odd_rank"])
     d = [[parse_coeff(doc.ring, v) for v in row] for row in raw["d"]]
     pot = parse_coeff(doc.ring, raw["potential"])
     try:
@@ -296,7 +291,7 @@ def _load_hom_element(doc: SpecDocument, name: str, raw: dict) -> HomElement:
     owner = "hom element %r" % name
     source = _need(doc.modules, raw["source"], "module", owner)
     target = _need(doc.modules, raw["target"], "module", owner)
-    cap = _integer(raw.get("cap", doc.caps["weight"]))
+    cap = exact_integer(raw.get("cap", doc.caps["weight"]))
     table: Dict[Tuple[str, Word], Vector] = {}
     for ent in raw.get("table", []):
         m = str(ent["m"])
@@ -311,8 +306,8 @@ def _load_hom_element(doc: SpecDocument, name: str, raw: dict) -> HomElement:
                 raise ValidationError("%s outputs unknown generator %r" %
                                       (owner, y))
         table[(m, w)] = val
-    return HomElement(source, target, _integer(raw.get("degree", 0)), table,
-                      cap)
+    return HomElement(source, target, exact_integer(raw.get("degree", 0)),
+                      table, cap)
 
 
 def _load_augmentation(doc: SpecDocument, name: str,
@@ -327,6 +322,15 @@ def _load_augmentation(doc: SpecDocument, name: str,
     except ValueError as exc:
         raise ValidationError("%s: %s" % (owner, exc))
     return raw["algebra"], aug
+
+
+def _load_base_change(raw: dict) -> RingHom:
+    kind = raw.get("kind")
+    if kind == "mod":
+        return reduction_mod(exact_integer(raw["n"]))
+    if kind == "rationals":
+        return inclusion_to_rationals()
+    raise ValueError("unknown base change kind %r" % (kind,))
 
 
 def _load_homotopy(doc: SpecDocument, raw: dict) -> Tuple[str, str, MultiOp]:
@@ -350,8 +354,18 @@ def _entity(owner: str) -> Iterator[None]:
         yield
     except KeyError as exc:
         raise ValidationError("%s: missing key %s" % (owner, exc)) from None
-    except (ValueError, TypeError, AttributeError) as exc:
+    except (ValueError, TypeError, AttributeError, UnsupportedRing) as exc:
         raise ValidationError("%s: %s" % (owner, exc)) from None
+
+
+def _section(raw: dict, key: str, kind: type) -> Any:
+    """A top-level section, empty when absent; one of another JSON type is
+    refused naming the section."""
+    value = raw.get(key) or kind()
+    if not isinstance(value, kind):
+        raise ValidationError("section %r must be a JSON %s" %
+                              (key, "object" if kind is dict else "list"))
+    return value
 
 
 # document sections holding named entities: (key, entity kind, loader),
@@ -387,32 +401,33 @@ def load_dict(raw: dict) -> SpecDocument:
         raise ValidationError("document root must be an object")
     if "ring" not in raw:
         raise ValidationError("document declares no ring")
-    try:
+    with _entity("ring descriptor"):
         ring = ring_from_descriptor(raw["ring"])
-    except (UnsupportedRing, KeyError, ValueError) as exc:
-        raise ValidationError("ring descriptor: %s" % exc)
     with _entity("grading"):
         modulus = (raw.get("grading") or {}).get("modulus", 2)
-        grading = Grading(None if modulus is None else _integer(modulus))
+        grading = Grading(None if modulus is None else exact_integer(modulus))
     caps = {"weight": 4, "arity": 4}
     with _entity("caps"):
         for k, v in (raw.get("caps") or {}).items():
-            caps[k] = _integer(v)
+            caps[k] = exact_integer(v)
             if caps[k] < 0:
                 raise ValueError("cap %r is %d; caps must be 0 or more"
                                  % (k, caps[k]))
-    doc = SpecDocument(ring=ring, grading=grading, caps=caps, raw=raw)
-    for name, sraw in (raw.get("spaces") or {}).items():
+    doc = SpecDocument(ring=ring, grading=grading, caps=caps)
+    if raw.get("base_change") is not None:
+        with _entity("base_change"):
+            doc.base_change = _load_base_change(raw["base_change"])
+    for name, sraw in _section(raw, "spaces", dict).items():
         with _entity("space %r" % name):
             doc.spaces[name] = _load_space(ring, grading, name, sraw)
     for key, kind, loader in _SECTIONS:
-        for name, eraw in (raw.get(key) or {}).items():
+        for name, eraw in _section(raw, key, dict).items():
             with _entity("%s %r" % (kind, name)):
                 getattr(doc, key)[name] = loader(doc, name, eraw)
-    for i, hraw in enumerate(raw.get("homotopies") or []):
+    for i, hraw in enumerate(_section(raw, "homotopies", list)):
         with _entity("homotopy %d" % i):
             doc.homotopies.append(_load_homotopy(doc, hraw))
-    for i, iraw in enumerate(raw.get("inversions") or []):
+    for i, iraw in enumerate(_section(raw, "inversions", list)):
         with _entity("inversion task %d" % i):
             for key in ("phi", "psi", "h", "ell"):
                 _need(doc.hom_elements, iraw[key], "hom element",

@@ -18,11 +18,11 @@ for producing genuine A-infinity examples out of dg-algebras.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from .ainf import (AInfAlgebra, AInfModule, AInfMorphism, CurvedDga,
-                   HomElement, MultiOp, check_algebra, hom_differential,
-                   identity_hom, impose_unit_laws, twist_algebra)
+                   HomElement, MultiOp, hom_differential, identity_hom,
+                   impose_unit_laws, twist_algebra)
 from .graded import GradedSpace, Grading, Vector, Word, sign
 from .rings import IntegersMod, Integers, Rationals, Ring
 

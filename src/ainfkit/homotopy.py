@@ -31,14 +31,14 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .adjoint import UAlgebra, UWord, inclusion_extended
-from .ainf import (AInfAlgebra, AInfModule, AInfMorphism, CurvedDga,
-                   HomElement, ModuleLike, MultiOp, TableBimodule,
-                   check_morphism, compose_hom, hom_differential,
-                   identity_hom, module_coderivation, module_words)
+from .ainf import (AInfAlgebra, AInfMorphism, CurvedDga, HomElement,
+                   ModuleLike, MultiOp, TableBimodule, check_morphism,
+                   compose_hom, hom_differential, identity_hom,
+                   module_coderivation, module_words)
 from .graded import GradedSpace, Vector, Word, sign
 from .linalg import kernel_basis_field, solve_field
 from .qmod import TensorModule, ue_functor
-from .report import FAIL, PASS, UNDECIDED, UNSUPPORTED, CheckReport
+from .report import FAIL, PASS, UNSUPPORTED, CheckReport
 from .rings import Ring
 from .vanish import UnsupportedStructure, perturbation_series
 

@@ -8,7 +8,7 @@ Polynomial rings are refused.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Tuple
 
 from .rings import (Integers, IntegersMod, PolynomialRing, Ring,
                     UnsupportedRing)

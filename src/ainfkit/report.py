@@ -8,7 +8,7 @@ witness.  Verdicts are always relative to the caps the check ran with.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import Any, Optional
 
 PASS = "PASS"
 FAIL = "FAIL"

@@ -4,7 +4,8 @@ Supported ring kinds:
 
 * ``Integers()``           -- the ring of integers, values are python ints
 * ``Rationals()``          -- exact rationals, values are ``fractions.Fraction``
-* ``IntegersMod(n)``       -- Z/n for n >= 2, values are ints in [0, n)
+* ``IntegersMod(n)``       -- Z/n for n >= 2, values are ints in [0, n); a
+  modulus whose primality cannot be decided exactly is refused
 * ``PolynomialRing(base, vars)`` -- multivariate polynomials over a field or
   over the integers; a single flattened layer of variables with a fixed
   declared order.  Values are canonical tuples of (exponent-tuple, coeff).
@@ -23,17 +24,43 @@ class UnsupportedRing(Exception):
     """Raised when an operation is not implemented for the given ring."""
 
 
-def _is_prime(n: int) -> bool:
+def exact_integer(raw: Any) -> int:
+    """An integer given as a JSON integer or a decimal string; floats and
+    booleans are refused rather than truncated."""
+    if isinstance(raw, (bool, float)):
+        raise TypeError("%r is not an exact integer" % (raw,))
+    return int(raw)
+
+
+# The first 13 primes.  As Miller-Rabin bases they decide primality for
+# every n below _MR_BOUND (Sorenson & Webster, arXiv 1509.00864).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> Optional[bool]:
+    """Strong-probable-prime test to the bases in _MR_BASES.  A witness
+    proves n composite at any size; passing every base proves n prime only
+    below _MR_BOUND, and above it the answer is None (unknown)."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
-    return True
+    return True if n < _MR_BOUND else None
 
 
 class Ring:
@@ -169,8 +196,12 @@ class IntegersMod(Ring):
     def __init__(self, n: int):
         if not isinstance(n, int) or n < 2:
             raise ValueError("modulus must be an integer >= 2")
+        prime = _is_prime(n)
+        if prime is None:
+            raise ValueError("cannot decide whether the modulus %d is prime"
+                             % n)
         self.n = n
-        self._prime = _is_prime(n)
+        self._prime = prime
 
     def normalize(self, v):
         if isinstance(v, bool) or not isinstance(v, int):
@@ -357,7 +388,7 @@ def ring_from_descriptor(desc: dict) -> Ring:
     if kind in ("Q", "rationals"):
         return Rationals()
     if kind in ("Zmod", "integers-mod"):
-        return IntegersMod(int(desc["n"]))
+        return IntegersMod(exact_integer(desc["n"]))
     if kind in ("poly", "polynomial"):
         return PolynomialRing(ring_from_descriptor(desc["base"]),
                               list(desc["variables"]))

@@ -13,6 +13,7 @@ import pytest
 
 import test_cli as cli_docs
 from ainfkit import cli
+from ainfkit.docio import load_dict
 from ainfkit.adjoint import (UAlgebra, check_ideal_stability,
                              check_strict_morphism_transport,
                              check_u_curvature, dg_module_axioms,
@@ -301,3 +302,38 @@ def test_12_cli_reports_are_byte_identical_across_runs_and_jobs(tmp_path):
         assert outputs[0] == outputs[1] == outputs[2], command
         assert outputs[3] == outputs[4], command
         assert json.loads(outputs[3]) is not None, command
+
+
+# the target labels of every command at cap 4, in order; they are part of
+# the CLI output
+PINNED_LABELS = {
+    "check-algebra": ["algebra:A"],
+    "check-morphism": ["morphism:f", "morphism:g"],
+    "check-module": ["module:M"],
+    "check-bimodule": ["bimodule:C"],
+    "build-ue": ["algebra:A"],
+    "check-ue": ["algebra:A"],
+    "check-ideal": ["algebra:A"],
+    "identify-modules": ["module:M:axioms", "module:M:roundtrip"],
+    "check-q-adjunction": ["module:M:lambda", "module:M:epsilon",
+                           "module:M:triangle"],
+    "check-q-homotopy": ["module:M"],
+    "kp-vanish": ["augmentation:l:module:M"],
+    "gamma-check": ["augmentation:l:module:M"],
+    "mc-test": ["algebra:good", "algebra:zero"],
+    "mf-check": ["factorization:F", "factorization:F:module",
+                 "factorization:broken", "factorization:broken:module"],
+    "base-change": ["algebra:A"],
+    "invert-homotopy": ["inversion:0:id"],
+    "ue-contract": ["algebra:good", "algebra:zero"],
+    "homotopy-check": ["homotopy:f~g"],
+    "quillen-components": ["morphism:f", "morphism:g"],
+}
+
+
+def test_13_cli_target_labels_and_their_order_are_pinned():
+    assert list(PINNED_LABELS) == cli.COMMANDS
+    for command, doc in COMMAND_DOCS.items():
+        tasks = cli.build_tasks(command, load_dict(doc), 4)
+        assert [label for label, _ in tasks] == PINNED_LABELS[command], \
+            command

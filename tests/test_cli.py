@@ -398,8 +398,24 @@ def _drop(path):
      "module 'M'"),
     (_set(("algebras", "A", "arity_cap"), 2.7), "algebra 'A'"),
     (_set(("grading",), ["x"]), "grading"),
+    (_set(("algebras",), [1]), "algebras"),
+    (_set(("spaces",), [1]), "spaces"),
+    (_set(("ring",), 7), "ring"),
+    (_set(("inversions",), 5), "inversions"),
+    (_set(("ring", "n"), 7.9), "ring"),
+    (_set(("ring", "n"), str(2 ** 89 - 1)), "ring"),
+    (_set(("base_change",), {"kind": "mod", "n": 5.5}), "base_change"),
+    (_set(("base_change",), ["mod", 5]), "base_change"),
+    (_set(("base_change",), {"kind": "mod"}), "base_change"),
+    (_set(("base_change",), {"kind": "mod", "n": 0}), "base_change"),
+    (_set(("base_change",), {"kind": "p-adic"}), "base_change"),
 ], ids=["coefficient-abc", "missing-space", "degree-x", "float-coefficient",
-        "bool-coefficient", "float-arity-cap", "grading-not-an-object"])
+        "bool-coefficient", "float-arity-cap", "grading-not-an-object",
+        "algebras-a-list", "spaces-a-list", "ring-an-integer",
+        "inversions-an-integer", "float-modulus", "undecided-modulus",
+        "float-base-change-modulus", "base-change-a-list",
+        "base-change-without-modulus", "base-change-modulus-0",
+        "unknown-base-change-kind"])
 def test_malformed_document_exits_2_naming_the_entity(write, mutate,
                                                       entity):
     doc = copy.deepcopy(DOC_CURVED)

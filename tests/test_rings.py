@@ -1,5 +1,6 @@
 """Exact ring arithmetic and linear solvers."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,25 @@ def test_nested_polynomials_refused():
         PolynomialRing(P, ["y"])
     with pytest.raises(UnsupportedRing):
         PolynomialRing(Z6, ["y"])
+
+
+def test_primality_is_exact_and_fast():
+    sieve = [False, False] + [True] * (10 ** 5 - 2)
+    for p in range(2, 317):
+        if sieve[p]:
+            sieve[p * p::p] = [False] * len(sieve[p * p::p])
+    assert [n for n in range(2, 10 ** 5)
+            if IntegersMod(n).is_field] == [n for n in range(10 ** 5)
+                                            if sieve[n]]
+    start = time.perf_counter()
+    # a strong pseudoprime to the bases 2, 3, 5 and 7
+    assert not IntegersMod(3215031751).is_field
+    assert IntegersMod(2 ** 61 - 1).is_field
+    assert not IntegersMod(2 ** 100).is_field
+    # prime, but past the bound below which the bases are proven to decide
+    with pytest.raises(ValueError, match="cannot decide"):
+        IntegersMod(2 ** 89 - 1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_ring_descriptor_roundtrip():
