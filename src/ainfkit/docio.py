@@ -124,7 +124,13 @@ def _check_entry_degree(space: GradedSpace, out_name: str, want: int,
 
 def _load_space(ring: Ring, grading: Grading, name: str,
                 raw: Any) -> GradedSpace:
-    gens = [(str(n), exact_integer(d)) for n, d in raw]
+    if not isinstance(raw, list) or not all(
+            isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
+            for e in raw):
+        raise ValidationError("space %r: generators must be a list of "
+                              "[name, degree] pairs with string names"
+                              % name)
+    gens = [(n, exact_integer(d)) for n, d in raw]
     try:
         return GradedSpace(ring, grading, gens)
     except ValueError as exc:

@@ -676,64 +676,93 @@ def _hom_basis(M: ModuleLike, N: ModuleLike, k: int,
     return out
 
 
+def _stage_columns(M: ModuleLike, N: ModuleLike, degree: int, k: int,
+                  cap: int, post: Optional[HomElement] = None
+                  ) -> Dict[Tuple[Any, Word, Any], Vector]:
+    """A stage map on the arity-k homs X from M to N of the given degree, as
+    columns: the unit hom at a basis entry (m, w, n) maps to a Vector over
+    (m', alpha, n') keys.  The map is X -> the arity-k part of [B, X], or
+    X -> post_0 o X, the arity-k part of compose_hom(post, X), when `post` is
+    given.  At a row word (m, alpha) with |alpha| = k only length-preserving
+    pieces reach X: b^N_0 after it, and before it the terms of B^M(m, alpha)
+    whose tail keeps k letters (b^M_0 on the module letter, b_1 on one
+    algebra letter).  Columns that map to zero are absent."""
+    ring = M.ring
+    targets = [n for n, _ in N.basis(cap)]
+    first = {n: N.b_apply(n, ()) if post is None else post.apply(n, ())
+             for n in targets}
+    s = ring.from_int(-sign(degree))
+    cols: Dict[Tuple[Any, Word, Any], Vector] = {}
+    for m, alpha in module_words(M, cap):
+        if len(alpha) != k:
+            continue
+        for n in targets:
+            for n2, c in first[n].terms.items():
+                cols.setdefault((m, alpha, n), Vector(ring)).add_term(
+                    (m, alpha, n2), c)
+        if post is not None:
+            continue
+        for (m2, w2), c in module_coderivation(M, m, alpha).terms.items():
+            if len(w2) == k:
+                c = ring.mul(s, c)
+                for n in targets:
+                    cols.setdefault((m2, w2, n), Vector(ring)).add_term(
+                        (m, alpha, n), c)
+    return {e: v for e, v in cols.items() if not v.is_zero()}
+
+
+# One term of a stage equation: (unknown index, coefficient, post), standing
+# for coefficient * _stage_columns(..., post) applied to that unknown.
+StageTerm = Tuple[int, Any, Optional[HomElement]]
+
+
 def _solve_multi(ring: Ring,
                  unknown_specs: List[Tuple[ModuleLike, ModuleLike, int]],
                  arity: int,
-                 equations: List[Tuple[Callable[[List[HomElement]],
-                                                HomElement],
-                                       HomElement,
-                                       Tuple[ModuleLike, ModuleLike]]],
+                 equations: List[Tuple[List[StageTerm], HomElement]],
                  cap: int) -> Optional[List[HomElement]]:
     """Solve a joint linear system over a field for several arity-`arity`
-    hom-element unknowns.  Each equation maps the tuple of unknowns
-    linearly to a hom-element and must equal the given right-hand side.
-    Returns the solved hom-elements or None when inconsistent."""
+    hom-element unknowns.  Each equation is a sum of stage terms over the
+    unknowns and must equal the given right-hand side.  Returns the solved
+    hom-elements or None when inconsistent."""
     if not ring.is_field:
         raise UnsupportedStructure("stage solving needs field coefficients")
-    col_meta: List[Tuple[int, Tuple[Any, Word, Any]]] = []
+    col_index: Dict[Tuple[int, Tuple[Any, Word, Any]], int] = {}
     for idx, (M, N, _deg) in enumerate(unknown_specs):
         for entry in _hom_basis(M, N, arity, cap):
-            col_meta.append((idx, entry))
-
-    def unit_homs(col: int) -> List[HomElement]:
-        homs = []
-        for idx, (M, N, deg) in enumerate(unknown_specs):
-            table: Dict[Tuple[Any, Word], Vector] = {}
-            if col_meta[col][0] == idx:
-                m, w, n = col_meta[col][1]
-                table[(m, w)] = Vector.basis(ring, n)
-            homs.append(HomElement(M, N, deg, table, cap))
-        return homs
+            col_index[(idx, entry)] = len(col_index)
+    col_meta = list(col_index)
+    # per column, one Vector over (m, alpha, n) row keys for each equation
+    cols: List[Dict[int, Vector]] = [{} for _ in col_meta]
+    for eq_idx, (terms, _rhs) in enumerate(equations):
+        for idx, coeff, post in terms:
+            M, N, deg = unknown_specs[idx]
+            for entry, vec in _stage_columns(M, N, deg, arity, cap,
+                                            post).items():
+                j = col_index.get((idx, entry))
+                if j is not None:
+                    cols[j].setdefault(eq_idx, Vector(ring)).add_vector(
+                        vec, coeff)
 
     row_index: Dict[Tuple[int, Any, Word, Any], int] = {}
 
-    def rows_of(eq_idx: int, val: HomElement) -> Dict[int, Any]:
-        out: Dict[int, Any] = {}
-        for (m, w), vec in val.table.items():
-            for n, c in vec.terms.items():
-                key = (eq_idx, m, w, n)
-                if key not in row_index:
-                    row_index[key] = len(row_index)
-                out[row_index[key]] = c
-        return out
+    def row(key: Tuple[int, Any, Word, Any]) -> int:
+        return row_index.setdefault(key, len(row_index))
 
-    cols = []
-    for col in range(len(col_meta)):
-        homs = unit_homs(col)
-        entries: Dict[int, Any] = {}
-        for eq_idx, (fn, _rhs, _sp) in enumerate(equations):
-            entries.update(rows_of(eq_idx, fn(homs)))
-        cols.append(entries)
-    rhs_entries: Dict[int, Any] = {}
-    for eq_idx, (_fn, rhs, _sp) in enumerate(equations):
-        rhs_entries.update(rows_of(eq_idx, rhs))
+    entries = [{row((eq_idx,) + key): c
+                for eq_idx, vec in col.items()
+                for key, c in vec.terms.items()} for col in cols]
+    rhs_entries = {row((eq_idx, m, w, n)): c
+                   for eq_idx, (_terms, rhs) in enumerate(equations)
+                   for (m, w), vec in rhs.table.items()
+                   for n, c in vec.terms.items()}
     nrows = len(row_index)
     if nrows == 0:
         sol = [ring.zero] * len(col_meta)
     else:
         matrix = [[ring.zero] * len(col_meta) for _ in range(nrows)]
-        for j, entries in enumerate(cols):
-            for i, c in entries.items():
+        for j, col in enumerate(entries):
+            for i, c in col.items():
                 matrix[i][j] = c
         target = [ring.zero] * nrows
         for i, c in rhs_entries.items():
@@ -754,25 +783,32 @@ def _solve_multi(ring: Ring,
     return out_homs
 
 
+def _boundary_matches(X: HomElement, rep: HomElement, stage: int,
+                      cap: int) -> bool:
+    """The check of a stage solution that does not rely on its assembly:
+    the arity-`stage` part of [B, X], computed by hom_differential, equals
+    the representative."""
+    got = arity_part(hom_differential(X, cap), stage)
+    return got.plus(rep.negated()).support_min() is None
+
+
 def obstruction_is_exact(obs: ObstructionElement,
                          cap: int) -> ExactnessResult:
     """Decide whether the obstruction class vanishes in the stage quotient:
     look for a degree-0 arity-`stage` hom X with the stage part of [B, X]
     equal to the representative.  Field coefficients only; otherwise
-    UNDECIDED."""
+    UNDECIDED, as when the primitive found fails the check through
+    hom_differential."""
     M, N = obs.rep.source, obs.rep.target
     ring = M.ring
     if not ring.is_field:
         return ExactnessResult("UNDECIDED")
-    stage = obs.stage
-
-    def eq(homs: List[HomElement]) -> HomElement:
-        return arity_part(hom_differential(homs[0], cap), stage)
-
-    sol = _solve_multi(ring, [(M, N, 0)], stage, [(eq, obs.rep, (M, N))],
-                       cap)
+    sol = _solve_multi(ring, [(M, N, 0)], obs.stage,
+                       [([(0, ring.one, None)], obs.rep)], cap)
     if sol is None:
         return ExactnessResult("Nonexact")
+    if not _boundary_matches(sol[0], obs.rep, obs.stage, cap):
+        return ExactnessResult("UNDECIDED")
     return ExactnessResult("Exact", sol[0])
 
 
@@ -780,11 +816,14 @@ def extend_morphism(phi: HomElement, stage: int, cap: int):
     """Given a degree-0 hom-element that is a morphism up to arity `stage`
     (its differential is supported in arities >= stage), kill the stage
     obstruction: return phi + X, a morphism up to stage+1, or an
-    ObstructionWitness when the obstruction class is essential."""
+    ObstructionWitness when the obstruction class is essential.  Raises
+    UnsupportedStructure when exactness is undecided."""
     obs = obstruction_class(phi, cap, stage)
     if obs.is_zero():
         return phi
     res = obstruction_is_exact(obs, cap)
+    if res.status == "UNDECIDED":
+        raise UnsupportedStructure("stage %d: exactness is undecided" % stage)
     if res.status != "Exact":
         return ObstructionWitness(obs)
     return phi.plus(res.primitive.negated())
@@ -815,16 +854,13 @@ def extend_homotopy(phi: HomElement, psi: HomElement, h: HomElement,
         return h
     M, N = phi.source, phi.target
     ring = M.ring
-    if not ring.is_field:
-        raise UnsupportedStructure("stage solving needs field coefficients")
-
-    def eq(homs: List[HomElement]) -> HomElement:
-        return arity_part(hom_differential(homs[0], cap), stage)
-
-    sol = _solve_multi(ring, [(M, N, -1)], stage, [(eq, obs.rep, (M, N))],
-                       cap)
+    sol = _solve_multi(ring, [(M, N, -1)], stage,
+                       [([(0, ring.one, None)], obs.rep)], cap)
     if sol is None:
         return ObstructionWitness(obs)
+    if not _boundary_matches(sol[0], obs.rep, stage, cap):
+        raise UnsupportedStructure("the homotopy correction failed its "
+                                   "check through hom_differential")
     return h.plus(sol[0])
 
 
@@ -956,6 +992,9 @@ def invert_homotopy(phi: HomElement, psi: HomElement, h: HomElement,
         obs = obstruction_class(psi_hat, cap, stage)
         if not obs.is_zero():
             res = obstruction_is_exact(obs, cap)
+            if res.status == "UNDECIDED":
+                raise UnsupportedStructure(
+                    "stage %d: exactness is undecided" % stage)
             if res.status != "Exact":
                 raise TheoremViolation(
                     stage, "the morphism-extension stage equation has "
@@ -969,20 +1008,15 @@ def invert_homotopy(phi: HomElement, psi: HomElement, h: HomElement,
                 arity_part(rs, kr))
         rep_rs = arity_part(rs, stage)
         if rep_rs.support_min() is not None:
-            def eq_closed(homs: List[HomElement]) -> HomElement:
-                return arity_part(hom_differential(homs[0], cap), stage)
-
-            def eq_res(homs: List[HomElement]) -> HomElement:
-                return arity_part(
-                    compose_hom(phi, homs[0], cap).plus(
-                        hom_differential(homs[1], cap).negated()),
-                    stage)
-
-            zero_rhs = HomElement(M, N, 0, {}, cap)
+            # unknowns X: N -> M and Y: N -> N with [B, X] = 0 at this
+            # stage (so psi_hat - X stays closed) and phi X - [B, Y] equal
+            # to minus the residual
+            zero_rhs = HomElement(N, M, 1, {}, cap)
             sol = _solve_multi(
                 ring, [(N, M, 0), (N, N, -1)], stage,
-                [(eq_closed, zero_rhs, (N, M)),
-                 (eq_res, rep_rs.negated(), (N, N))], cap)
+                [([(0, ring.one, None)], zero_rhs),
+                 ([(0, ring.one, phi), (1, ring.neg(ring.one), None)],
+                  rep_rs.negated())], cap)
             if sol is None:
                 raise TheoremViolation(
                     stage, "the homotopy-correction stage equation has "

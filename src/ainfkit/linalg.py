@@ -8,67 +8,100 @@ Polynomial rings are refused.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from .rings import (Integers, IntegersMod, PolynomialRing, Ring,
                     UnsupportedRing)
 
 
-def _eliminate(ring: Ring, a: List[List[Any]],
-               n: int) -> List[Tuple[int, int]]:
-    """Gauss-Jordan elimination of ``a`` in place over a field, pivoting on
-    the first nonzero entry of each of the first ``n`` columns in turn (the
-    columns after them are carried along); returns the (row, column)
-    pivots.  Each pivot row is scaled to 1 and its column cleared."""
-    m = len(a)
+def _sparse(ring: Ring, row: List[Any]) -> Dict[int, Any]:
+    """A dense row as a map from column to nonzero entry."""
+    out = {}
+    for j, v in enumerate(row):
+        if v != ring.zero:
+            v = ring.normalize(v)
+            if not ring.is_zero(v):
+                out[j] = v
+    return out
+
+
+def _eliminate(ring: Ring, a: List[Dict[int, Any]],
+               n: int) -> List[Tuple[Dict[int, Any], int]]:
+    """Gauss-Jordan elimination over a field, in place on sparse rows (maps
+    from column to nonzero entry), pivoting on each of the first ``n``
+    columns in turn (the columns after them are carried along); returns the
+    pivot rows with their columns, left to right.  A column's pivot is the
+    unused row with the fewest nonzeros that holds it (Markowitz;
+    LaMacchia & Odlyzko), which keeps the fill-in small.  Each pivot row is
+    scaled to 1 and its column cleared from every other row, so the pivot
+    rows form the reduced row echelon form, which depends on the row space
+    alone; the other rows end up zero in the first ``n`` columns."""
+    holders: Dict[int, Set[int]] = {}
+    for i, row in enumerate(a):
+        for j in row:
+            holders.setdefault(j, set()).add(i)
+    used: Set[int] = set()
     pivots = []
-    r = 0
     for c in range(n):
-        if r == m:
+        if len(used) == len(a):
             break
-        pr = None
-        for i in range(r, m):
-            if not ring.is_zero(a[i][c]):
-                pr = i
-                break
-        if pr is None:
+        rows_c = holders.get(c, ())
+        free = [i for i in rows_c if i not in used]
+        if not free:
             continue
-        a[r], a[pr] = a[pr], a[r]
-        piv = ring.inv(a[r][c])
-        a[r] = [ring.mul(piv, v) for v in a[r]]
-        for i in range(m):
-            if i != r and not ring.is_zero(a[i][c]):
-                f = a[i][c]
-                a[i] = [ring.sub(v, ring.mul(f, p))
-                        for v, p in zip(a[i], a[r])]
-        pivots.append((r, c))
-        r += 1
+        p = min(free, key=lambda i: (len(a[i]), i))
+        prow = a[p]
+        piv = ring.inv(prow[c])
+        for j in prow:
+            prow[j] = ring.mul(piv, prow[j])
+        for i in sorted(rows_c):
+            if i == p:
+                continue
+            row = a[i]
+            f = row[c]
+            for j, v in prow.items():
+                x = ring.sub(row.get(j, ring.zero), ring.mul(f, v))
+                if ring.is_zero(x):
+                    del row[j]
+                    holders[j].discard(i)
+                else:
+                    if j not in row:
+                        holders.setdefault(j, set()).add(i)
+                    row[j] = x
+        used.add(p)
+        pivots.append((prow, c))
     return pivots
 
 
 def solve_field(ring: Ring, rows: List[List[Any]], rhs: List[Any]) -> Optional[List[Any]]:
-    """Gaussian elimination over a field; returns one solution or None."""
+    """Gaussian elimination over a field; returns one solution (the free
+    variables zero) or None."""
     m = len(rows)
     n = len(rows[0]) if m else 0
-    a = [[ring.normalize(v) for v in row] + [ring.normalize(rhs[i])]
-         for i, row in enumerate(rows)]
-    if m and any(len(row) != n + 1 for row in a):
+    if any(len(row) != n for row in rows):
         raise ValueError("ragged matrix")
+    a = []
+    for i, row in enumerate(rows):
+        srow = _sparse(ring, row)
+        b = ring.normalize(rhs[i])
+        if not ring.is_zero(b):
+            srow[n] = b
+        a.append(srow)
     pivots = _eliminate(ring, a, n)
-    for i in range(len(pivots), m):
-        if not ring.is_zero(a[i][n]):
-            return None
+    # a pivot row holds its pivot column; any other row is left with at
+    # most its right-hand side
+    if any(len(row) == 1 and n in row for row in a):
+        return None
     x = [ring.zero] * n
-    for (i, c) in pivots:
-        x[c] = a[i][n]
+    for prow, c in pivots:
+        x[c] = prow.get(n, ring.zero)
     return x
 
 
 def kernel_basis_field(ring: Ring, rows: List[List[Any]]) -> List[List[Any]]:
     """Basis of the null space of A over a field."""
     n = len(rows[0]) if rows else 0
-    a = [[ring.normalize(v) for v in row] for row in rows]
-    pivots = _eliminate(ring, a, n)
+    pivots = _eliminate(ring, [_sparse(ring, row) for row in rows], n)
     pivot_cols = {c for (_, c) in pivots}
     basis = []
     for free in range(n):
@@ -76,8 +109,8 @@ def kernel_basis_field(ring: Ring, rows: List[List[Any]]) -> List[List[Any]]:
             continue
         v = [ring.zero] * n
         v[free] = ring.one
-        for (i, c) in pivots:
-            v[c] = ring.neg(a[i][free])
+        for prow, c in pivots:
+            v[c] = ring.neg(prow.get(free, ring.zero))
         basis.append(v)
     return basis
 

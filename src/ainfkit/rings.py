@@ -390,6 +390,10 @@ def ring_from_descriptor(desc: dict) -> Ring:
     if kind in ("Zmod", "integers-mod"):
         return IntegersMod(exact_integer(desc["n"]))
     if kind in ("poly", "polynomial"):
-        return PolynomialRing(ring_from_descriptor(desc["base"]),
-                              list(desc["variables"]))
+        variables = desc["variables"]
+        if not isinstance(variables, list) or not all(
+                isinstance(v, str) for v in variables):
+            raise ValueError("polynomial variables must be a list of "
+                             "strings")
+        return PolynomialRing(ring_from_descriptor(desc["base"]), variables)
     raise UnsupportedRing("unknown ring kind %r" % (kind,))

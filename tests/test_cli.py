@@ -409,13 +409,18 @@ def _drop(path):
     (_set(("base_change",), {"kind": "mod"}), "base_change"),
     (_set(("base_change",), {"kind": "mod", "n": 0}), "base_change"),
     (_set(("base_change",), {"kind": "p-adic"}), "base_change"),
+    (_set(("spaces", "A"), {"e0": 1, "u1": 2}), "space 'A'"),
+    (_set(("spaces", "A", 1), "u1"), "space 'A'"),
+    (_set(("ring",), {"kind": "poly", "base": {"kind": "Q"},
+                      "variables": "xy"}), "ring descriptor"),
 ], ids=["coefficient-abc", "missing-space", "degree-x", "float-coefficient",
         "bool-coefficient", "float-arity-cap", "grading-not-an-object",
         "algebras-a-list", "spaces-a-list", "ring-an-integer",
         "inversions-an-integer", "float-modulus", "undecided-modulus",
         "float-base-change-modulus", "base-change-a-list",
         "base-change-without-modulus", "base-change-modulus-0",
-        "unknown-base-change-kind"])
+        "unknown-base-change-kind", "space-an-object", "space-entry-a-string",
+        "variables-a-string"])
 def test_malformed_document_exits_2_naming_the_entity(write, mutate,
                                                       entity):
     doc = copy.deepcopy(DOC_CURVED)

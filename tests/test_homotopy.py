@@ -1,10 +1,13 @@
 """Interval homotopies, contractions, bar transfer, and obstruction stages."""
 
+import itertools
 import random
 
 import pytest
 
-from ainfkit.ainf import (AInfMorphism, CurvedDga, HomElement, check_bimodule,
+from ainfkit import homotopy
+from ainfkit.ainf import (AInfAlgebra, AInfModule, AInfMorphism, CurvedDga,
+                          HomElement, check_bimodule,
                           check_bimodule_units, check_module,
                           check_module_morphism, compose_hom,
                           hom_differential, identity_hom, identity_morphism)
@@ -14,7 +17,8 @@ from ainfkit.fixtures import (dga_rank2, dga_two_odd, module_from_classical,
 from ainfkit.graded import GradedSpace, Grading, MultiOp, Vector
 from ainfkit.homotopy import (AInfHomotopy, DgaMorphism, IntervalCoalgebra,
                               ObstructionElement, ObstructionWitness,
-                              TheoremViolation, arity_part,
+                              TheoremViolation, _hom_basis, _stage_columns,
+                              arity_part,
                               bar_transfer_contraction, check_ainf_homotopy,
                               check_dga_morphism, check_interval_coalgebra,
                               check_obstruction_bimodule,
@@ -30,6 +34,7 @@ from ainfkit.rings import Integers, IntegersMod
 from ainfkit.vanish import UnsupportedStructure
 
 F7 = IntegersMod(7)
+F5 = IntegersMod(5)
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +359,87 @@ def test_exactness_undecided_over_the_integers():
     rep = HomElement(M, M, 1, {}, 3)
     assert obstruction_is_exact(ObstructionElement(1, rep),
                                 3).status == "UNDECIDED"
+
+
+def _random_table_module(rng, A, gens):
+    """A table module over A with random entries of arity <= 2 and no
+    relation imposed: the stage maps are linear in the tables."""
+    table = {}
+    for m, _ in gens:
+        for ln in range(3):
+            for w in itertools.product(A.shift.names, repeat=ln):
+                val = Vector(F5)
+                for y, _ in gens:
+                    if rng.random() < 0.5:
+                        val.add_term(y, rng.randrange(1, 5))
+                table[(m, w)] = val
+    return AInfModule(A, GradedSpace(F5, Grading(2), gens), table, 2)
+
+
+def _entries(phi):
+    return {(m, w, n): c for (m, w), v in phi.table.items()
+            for n, c in v.terms.items()}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_stage_columns_match_hom_differential_of_unit_homs(seed):
+    # e and a are odd letters of A[1], b is even; the module letters x and
+    # p are even, y and q odd
+    rng = random.Random(seed)
+    sp = GradedSpace(F5, Grading(2), [("e", 0), ("a", 0), ("b", 1)])
+    b = MultiOp(F5, 1, 2)
+    for ln in (1, 2):
+        for w in itertools.product(sp.names, repeat=ln):
+            b.set(w, Vector(F5, {(y,): rng.randrange(5)
+                                 for y in sp.names}))
+    A = AInfAlgebra(sp, "e", b)
+    M = _random_table_module(rng, A, [("x", 0), ("y", 1)])
+    N = _random_table_module(rng, A, [("p", 0), ("q", 1), ("r", 1)])
+    post = HomElement(N, M, 1, {
+        (n, w): Vector(F5, {m: rng.randrange(5) for m in ("x", "y")})
+        for n in ("p", "q", "r") for w in ((), ("a",))}, 3)
+    for degree in (0, -1):
+        for k in (1, 2, 3):
+            cols = _stage_columns(M, N, degree, k, 3)
+            post_cols = _stage_columns(M, N, degree, k, 3, post)
+            for m, w, n in _hom_basis(M, N, k, 3):
+                unit = HomElement(M, N, degree, {(m, w): Vector.basis(F5, n)},
+                                  3)
+                want = arity_part(hom_differential(unit, 3), k)
+                got = cols.get((m, w, n), Vector(F5))
+                assert got.terms == _entries(want), (degree, k, m, w, n)
+                want = arity_part(compose_hom(post, unit, 3), k)
+                got = post_cols.get((m, w, n), Vector(F5))
+                assert got.terms == _entries(want), (degree, k, m, w, n)
+
+
+def test_a_wrong_stage_assembly_never_passes(monkeypatch):
+    # doubling every assembled column halves each primitive found; the
+    # check through hom_differential must catch it
+    real = homotopy._stage_columns
+    monkeypatch.setattr(homotopy, "_stage_columns", lambda *args: {
+        e: v.scaled(F7.from_int(2)) for e, v in real(*args).items()})
+    M = uncurved_module()
+    junk = HomElement(M, M, 0, {("x", ("u",)): Vector.basis(F7, "x")}, 3)
+    phi = identity_hom(M, 3).plus(junk)
+    obs = obstruction_class(phi, 3)
+    assert not obs.is_zero()
+    assert obstruction_is_exact(obs, 3).status == "UNDECIDED"
+    with pytest.raises(UnsupportedStructure, match="undecided"):
+        extend_morphism(phi, obs.stage, 3)
+    rng = random.Random(5)
+    f = twisted_identity_morphism(M, rng, 3)
+    g = twisted_identity_morphism(M, rng, 3)
+    with pytest.raises(UnsupportedStructure, match="hom_differential"):
+        for stage in range(0, 4):
+            extend_homotopy(f, g, HomElement(M, M, -1, {}, 3), stage, 3)
+    phi = twisted_identity_morphism(M, random.Random(1), 3)
+    psi0 = arity_part(identity_hom(M, 3), 0)
+    hz = HomElement(M, M, -1, {}, 3)
+    # the inversion re-checks each stage's residual through
+    # hom_differential
+    with pytest.raises(TheoremViolation, match="residual dropped"):
+        invert_homotopy(phi, psi0, hz, hz, 3)
 
 
 def test_homotopy_extension_between_homotopic_morphisms():

@@ -1,5 +1,6 @@
 """Exact ring arithmetic and linear solvers."""
 
+import random
 import time
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ainfkit.linalg import (kernel_basis_field, smith_normal_form,
-                            solve_integers, solve_linear)
+                            solve_field, solve_integers, solve_linear)
 from ainfkit.rings import (Integers, IntegersMod, PolynomialRing, Rationals,
                            RingHom, UnsupportedRing, evaluation_hom,
                            reduction_mod, ring_from_descriptor)
@@ -139,6 +140,110 @@ def test_kernel_basis():
     assert len(ker) == 2
     for v in ker:
         assert (v[0] + 2 * v[1] + 3 * v[2]) % 7 == 0
+
+
+def dense_eliminate(ring, a, n):
+    """Reference: dense Gauss-Jordan in place, pivoting on the first
+    nonzero entry of each of the first n columns; returns (row, column)
+    pivots."""
+    m = len(a)
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        pr = next((i for i in range(r, m) if not ring.is_zero(a[i][c])),
+                  None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        piv = ring.inv(a[r][c])
+        a[r] = [ring.mul(piv, v) for v in a[r]]
+        for i in range(m):
+            if i != r and not ring.is_zero(a[i][c]):
+                f = a[i][c]
+                a[i] = [ring.sub(v, ring.mul(f, p))
+                        for v, p in zip(a[i], a[r])]
+        pivots.append((r, c))
+        r += 1
+    return pivots
+
+
+def dense_solve(ring, rows, rhs):
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    a = [[ring.normalize(v) for v in row] + [ring.normalize(rhs[i])]
+         for i, row in enumerate(rows)]
+    pivots = dense_eliminate(ring, a, n)
+    if any(not ring.is_zero(a[i][n]) for i in range(len(pivots), m)):
+        return None
+    x = [ring.zero] * n
+    for i, c in pivots:
+        x[c] = a[i][n]
+    return x
+
+
+def dense_kernel(ring, rows):
+    n = len(rows[0]) if rows else 0
+    a = [[ring.normalize(v) for v in row] for row in rows]
+    pivots = dense_eliminate(ring, a, n)
+    basis = []
+    for free in sorted(set(range(n)) - {c for _, c in pivots}):
+        v = [ring.zero] * n
+        v[free] = ring.one
+        for i, c in pivots:
+            v[c] = ring.neg(a[i][free])
+        basis.append(v)
+    return basis
+
+
+def random_system(rng, ring, m, n, density):
+    """A random m x n matrix with a right-hand side; some rows are
+    combinations of earlier ones, and the right-hand side is sometimes in
+    the column space and sometimes not."""
+    def entry():
+        if rng.random() >= density:
+            return ring.zero
+        if ring is Q:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        return rng.randrange(-7, 15)  # not reduced mod 7
+    rows = []
+    for _ in range(m):
+        if rows and rng.random() < 0.3:
+            a, b = rng.choice(rows), rng.choice(rows)
+            k = entry()
+            rows.append([ring.add(x, ring.mul(k, y)) for x, y in zip(a, b)])
+        else:
+            rows.append([entry() for _ in range(n)])
+    if rng.random() < 0.5:
+        x = [entry() for _ in range(n)]
+        rhs = [ring.normalize(sum((ring.mul(r, v) for r, v in zip(row, x)),
+                                  ring.zero)) for row in rows]
+    else:
+        rhs = [entry() for _ in range(m)]
+    return rows, rhs
+
+
+@pytest.mark.parametrize("ring", [F7, Q], ids=["F7", "Q"])
+def test_sparse_elimination_matches_the_dense_reference(ring):
+    rng = random.Random(7)
+    cases = [([], []), ([[ring.zero] * 4] * 3, [ring.zero] * 3),
+             ([[ring.zero] * 3] * 2, [ring.zero, ring.one]),
+             ([[ring.one, ring.zero, ring.from_int(2)]], [ring.one]),
+             ([[ring.zero, ring.zero, ring.zero]], [ring.one]),
+             ([[ring.one, ring.one], [ring.from_int(2), ring.from_int(2)]],
+              [ring.one, ring.from_int(3)])]
+    for _ in range(300):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        cases.append(random_system(rng, ring, m, n,
+                                   rng.choice((0.2, 0.5, 0.9))))
+    kinds = set()
+    for rows, rhs in cases:
+        want = dense_solve(ring, rows, rhs)
+        assert solve_field(ring, rows, rhs) == want
+        assert kernel_basis_field(ring, rows) == dense_kernel(ring, rows)
+        kinds.add(want is None)
+    assert kinds == {True, False}
 
 
 def test_ring_homs():
