@@ -17,7 +17,7 @@ code paths are kept separate on purpose so they can cross-check each other.
 
 from __future__ import annotations
 
-from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+from typing import (Any, Callable, Dict, Iterable, Iterator, Optional,
                     Sequence, Tuple)
 
 from .graded import (GradedSpace, MultiOp, Vector, Word, geometric_extend,
@@ -87,18 +87,6 @@ class AInfAlgebra:
 
     def words(self, cap: int, min_len: int = 0) -> Iterator[Word]:
         return self.shift.words(cap, min_len)
-
-    def validate_homogeneous(self) -> List[Tuple]:
-        """Degree violations in the b-table (empty list when clean)."""
-        bad = []
-        for w, v in self.b.table.items():
-            want = self.word_degree(w) + 1
-            for out, _ in v.terms.items():
-                if len(out) != 1:
-                    bad.append((w, out, "output is not a letter"))
-                elif not self.grading.equal(self.letter_degree(out[0]), want):
-                    bad.append((w, out, "degree"))
-        return bad
 
 
 def check_unit_laws(A: AInfAlgebra) -> CheckReport:
@@ -447,15 +435,6 @@ class AInfModule(ModuleLike):
         for n in self.space.names:
             yield n, 0
 
-    def validate_homogeneous(self) -> List[Tuple]:
-        bad = []
-        for (m, aword), v in self.table.items():
-            want = self.space.degree(m) + self.algebra.word_degree(aword) + 1
-            for out, _ in v.terms.items():
-                if not self.space.grading.equal(self.space.degree(out), want):
-                    bad.append(((m, aword), out, "degree"))
-        return bad
-
 
 def module_words(M: ModuleLike, cap: int) -> Iterator[Tuple[Any, Word]]:
     for m, wt in M.basis(cap):
@@ -487,7 +466,7 @@ def module_b_whole(M: ModuleLike, vec: Vector) -> Vector:
     return vec.bind(lambda mw: M.b_apply(mw[0], mw[1]))
 
 
-def check_module(M: ModuleLike, cap: int, check_units: bool = True) -> CheckReport:
+def check_module(M: ModuleLike, cap: int) -> CheckReport:
     """Structure relation b^M(B^M) = 0 and (B^M)^2 = 0, two code paths."""
     rep = CheckReport("module", "b^M(B^M) = 0 and (B^M)^2 = 0", cap)
     first_fail = _square_zero_failures(
@@ -496,10 +475,9 @@ def check_module(M: ModuleLike, cap: int, check_units: bool = True) -> CheckRepo
         lambda vec: module_coderivation_vector(M, vec))
     rep.details["paths_agree"] = (("b(B)" in first_fail)
                                   == ("B^2" in first_fail))
-    if check_units:
-        rep.details["unit_laws"] = check_module_units(M, cap).verdict
-        if rep.details["unit_laws"] != PASS:
-            rep.fail(("unit-laws", None, None))
+    rep.details["unit_laws"] = check_module_units(M, cap).verdict
+    if rep.details["unit_laws"] != PASS:
+        rep.fail(("unit-laws", None, None))
     if first_fail:
         rep.fail(next(iter(first_fail.values())))
     if not rep.details["paths_agree"]:
@@ -716,7 +694,7 @@ def bimodule_b_whole(V: BimoduleLike, vec: Vector) -> Vector:
     return vec.bind(lambda w: V.b_apply(w[0], w[1], w[2]))
 
 
-def check_bimodule(V: BimoduleLike, cap: int, strict_unit: bool = True) -> CheckReport:
+def check_bimodule(V: BimoduleLike, cap: int) -> CheckReport:
     rep = CheckReport("bimodule", "b^V(B^V) = 0 and (B^V)^2 = 0", cap)
     first_fail = _square_zero_failures(
         bimodule_words(V, cap), lambda w: bimodule_coderivation(V, *w),
@@ -724,10 +702,9 @@ def check_bimodule(V: BimoduleLike, cap: int, strict_unit: bool = True) -> Check
         lambda vec: bimodule_coderivation_vector(V, vec))
     rep.details["paths_agree"] = (("b(B)" in first_fail)
                                   == ("B^2" in first_fail))
-    if strict_unit:
-        rep.details["unit_laws"] = check_bimodule_units(V, cap).verdict
-        if rep.details["unit_laws"] != PASS:
-            rep.fail(("unit-laws", None, None))
+    rep.details["unit_laws"] = check_bimodule_units(V, cap).verdict
+    if rep.details["unit_laws"] != PASS:
+        rep.fail(("unit-laws", None, None))
     if first_fail:
         rep.fail(next(iter(first_fail.values())))
     if not rep.details["paths_agree"]:

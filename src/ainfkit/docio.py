@@ -79,24 +79,6 @@ def parse_coeff(ring: Ring, raw: Any) -> Any:
     raise UnsupportedRing("no coefficient syntax for %r" % (ring,))
 
 
-def parse_vector(ring: Ring, raw: Any, wrap_letter: bool = False) -> Vector:
-    """A list of [basis-name, coefficient] pairs; with ``wrap_letter`` each
-    name becomes a one-letter word (the output alphabet of b-tables)."""
-    out = Vector.zero(ring)
-    for name, c in raw or []:
-        key = (str(name),) if wrap_letter else _as_key(name)
-        out.add_term(key, parse_coeff(ring, c))
-    return out
-
-
-def _as_key(name: Any) -> Any:
-    return tuple(str(x) for x in name) if isinstance(name, list) else str(name)
-
-
-def _word(raw: Any) -> Word:
-    return tuple(str(x) for x in raw or [])
-
-
 def _need(mapping: Dict[str, Any], key: str, kind: str,
           owner: str) -> Any:
     if key not in mapping:
@@ -105,21 +87,78 @@ def _need(mapping: Dict[str, Any], key: str, kind: str,
     return mapping[key]
 
 
-def _check_letters(space: GradedSpace, word: Word, owner: str) -> None:
+def _cap(key: str, raw: Any) -> int:
+    cap = exact_integer(raw)
+    if cap < 0:
+        raise ValueError("cap %r is %d; caps must be 0 or more" % (key, cap))
+    return cap
+
+
+# The entry rule of every table lives in the next two functions: an entry
+# reads known generators and outputs known generators of degree ``want``,
+# the input degree plus the degree of the family.
+
+def _word_in(space: GradedSpace, raw: Any, owner: str) -> Word:
+    """An entry's input word; every letter must be a generator of space."""
+    word = tuple(str(x) for x in raw or [])
     for x in word:
         if x not in space.gens:
             raise ValidationError("%s uses unknown generator %r" % (owner, x))
+    return word
 
 
-def _check_entry_degree(space: GradedSpace, out_name: str, want: int,
-                        owner: str) -> None:
-    if out_name not in space.gens:
-        raise ValidationError("%s outputs unknown generator %r" %
-                              (owner, out_name))
-    if not space.grading.equal(space.degree(out_name), want):
-        raise ValidationError(
-            "%s: output %r has degree %r, expected %r" %
-            (owner, out_name, space.degree(out_name), want))
+def _output(ring: Ring, space: GradedSpace, raw: Any, want: int, owner: str,
+            wrap_letter: bool = False) -> Vector:
+    """An entry's output, a list of [generator, coefficient] pairs; every
+    generator with a nonzero coefficient must be one of space of degree
+    ``want``.  With ``wrap_letter`` each becomes a one-letter word."""
+    out = Vector.zero(ring)
+    for name, c in raw or []:
+        out.add_term((str(name),) if wrap_letter else str(name),
+                     parse_coeff(ring, c))
+    want = space.grading.normalize(want)
+    for y in out.terms:
+        name = y[0] if wrap_letter else y
+        if name not in space.gens:
+            raise ValidationError("%s outputs unknown generator %r" %
+                                  (owner, name))
+        if not space.grading.equal(space.degree(name), want):
+            raise ValidationError(
+                "%s: output %r has degree %r, expected %r" %
+                (owner, name, space.degree(name), want))
+    return out
+
+
+def _letter_family(ring: Ring, entries: Any, source: GradedSpace,
+                   target: GradedSpace, degree: int, cap: int,
+                   owner: str) -> MultiOp:
+    """A degree-``degree`` family from words of the shifted space source to
+    letters of the shifted space target."""
+    op = MultiOp(ring, degree, cap)
+    for ent in entries:
+        w = _word_in(source, ent["in"], owner)
+        op.set(w, _output(ring, target, ent["out"],
+                          source.word_degree(w) + degree, owner,
+                          wrap_letter=True))
+    return op
+
+
+def _module_table(ring: Ring, entries: Any, algebra: AInfAlgebra,
+                  source: GradedSpace, target: GradedSpace, degree: int,
+                  owner: str) -> Dict[Tuple[str, Word], Vector]:
+    """A degree-``degree`` (generator, algebra word) -> vector table from
+    the space source to the space target."""
+    table: Dict[Tuple[str, Word], Vector] = {}
+    for ent in entries:
+        m = str(ent["m"])
+        if m not in source.gens:
+            raise ValidationError("%s: unknown module generator %r" %
+                                  (owner, m))
+        w = _word_in(algebra.space, ent.get("word"), owner)
+        table[(m, w)] = _output(
+            ring, target, ent["out"],
+            source.degree(m) + algebra.word_degree(w) + degree, owner)
+    return table
 
 
 def _load_space(ring: Ring, grading: Grading, name: str,
@@ -143,31 +182,21 @@ def _load_algebra(doc: SpecDocument, name: str, raw: dict) -> AInfAlgebra:
     unit = str(raw["unit"])
     if unit not in space.gens:
         raise ValidationError("%s: unknown unit %r" % (owner, unit))
-    cap = exact_integer(raw.get("arity_cap", doc.caps["arity"]))
+    cap = _cap("arity_cap", raw.get("arity_cap", doc.caps["arity"]))
     kind = raw.get("tables", "b")
-    shift = space.shifted()
     if kind == "m":
         m_table: Dict[Word, Vector] = {}
         for ent in raw.get("table", []):
-            w = _word(ent["in"])
-            _check_letters(space, w, owner)
-            val = parse_vector(doc.ring, ent["out"], wrap_letter=True)
-            want = (sum(space.degree(x) for x in w) + 2 - len(w))
-            for y in val.terms:
-                _check_entry_degree(space, y[0],
-                                    space.grading.normalize(want), owner)
-            m_table[w] = val
+            w = _word_in(space, ent["in"], owner)
+            m_table[w] = _output(
+                doc.ring, space, ent["out"],
+                sum(space.degree(x) for x in w) + 2 - len(w), owner,
+                wrap_letter=True)
         b = b_from_m(space, m_table, cap)
     elif kind == "b":
-        b = MultiOp(doc.ring, 1, cap)
-        for ent in raw.get("table", []):
-            w = _word(ent["in"])
-            _check_letters(space, w, owner)
-            val = parse_vector(doc.ring, ent["out"], wrap_letter=True)
-            want = shift.word_degree(w) + 1
-            for y in val.terms:
-                _check_entry_degree(shift, y[0], want, owner)
-            b.set(w, val)
+        shift = space.shifted()
+        b = _letter_family(doc.ring, raw.get("table", []), shift, shift, 1,
+                           cap, owner)
     else:
         raise ValidationError("%s: tables must be 'm' or 'b', got %r" %
                               (owner, kind))
@@ -182,31 +211,21 @@ def _load_dga(doc: SpecDocument, name: str, raw: dict) -> CurvedDga:
     unit = str(raw["unit"])
     if unit not in space.gens:
         raise ValidationError("%s: unknown unit %r" % (owner, unit))
-    curv = parse_vector(doc.ring, raw.get("curvature"))
-    for y in curv.terms:
-        _check_entry_degree(space, y, space.grading.normalize(2), owner)
+    curv = _output(doc.ring, space, raw.get("curvature"), 2, owner)
     d = {}
     for ent in raw.get("d", []):
-        x = str(ent["in"])
-        _check_letters(space, (x,), owner)
-        val = parse_vector(doc.ring, ent["out"])
-        for y in val.terms:
-            _check_entry_degree(space, y, space.degree(x) + 1, owner)
-        d[x] = val
+        x, = _word_in(space, [ent["in"]], owner)
+        d[x] = _output(doc.ring, space, ent["out"], space.degree(x) + 1,
+                       owner)
     product = {}
     for ent in raw.get("product", []):
-        w = _word(ent["in"])
+        w = _word_in(space, ent["in"], owner)
         if len(w) != 2:
             raise ValidationError("%s: products are binary, got %r" %
                                   (owner, w))
-        _check_letters(space, w, owner)
-        val = parse_vector(doc.ring, ent["out"])
-        want = space.degree(w[0]) + space.degree(w[1])
-        for y in val.terms:
-            _check_entry_degree(space, y, space.grading.normalize(want),
-                                owner)
-        product[(w[0], w[1])] = val
-    cap = exact_integer(raw.get("arity_cap", doc.caps["arity"]))
+        product[w] = _output(doc.ring, space, ent["out"],
+                             space.word_degree(w), owner)
+    cap = _cap("arity_cap", raw.get("arity_cap", doc.caps["arity"]))
     return CurvedDga(space, unit, curv, d, product, cap)
 
 
@@ -214,21 +233,9 @@ def _load_module(doc: SpecDocument, name: str, raw: dict) -> AInfModule:
     owner = "module %r" % name
     algebra = _resolve_algebra(doc, raw["algebra"], owner)
     space = _need(doc.spaces, raw["space"], "space", owner)
-    cap = exact_integer(raw.get("arity_cap", doc.caps["arity"]))
-    table: Dict[Tuple[str, Word], Vector] = {}
-    for ent in raw.get("table", []):
-        m = str(ent["m"])
-        if m not in space.gens:
-            raise ValidationError("%s: unknown module generator %r" %
-                                  (owner, m))
-        w = _word(ent.get("word"))
-        _check_letters(algebra.space, w, owner)
-        val = parse_vector(doc.ring, ent["out"])
-        want = space.degree(m) + algebra.word_degree(w) + 1
-        for y in val.terms:
-            _check_entry_degree(space, y, space.grading.normalize(want),
-                                owner)
-        table[(m, w)] = val
+    cap = _cap("arity_cap", raw.get("arity_cap", doc.caps["arity"]))
+    table = _module_table(doc.ring, raw.get("table", []), algebra, space,
+                          space, 1, owner)
     return AInfModule(algebra, space, table, cap)
 
 
@@ -244,16 +251,9 @@ def _load_morphism(doc: SpecDocument, name: str, raw: dict) -> AInfMorphism:
     owner = "morphism %r" % name
     source = _resolve_algebra(doc, raw["source"], owner)
     target = _resolve_algebra(doc, raw["target"], owner)
-    cap = exact_integer(raw.get("arity_cap", doc.caps["arity"]))
-    f = MultiOp(doc.ring, 0, cap)
-    for ent in raw.get("table", []):
-        w = _word(ent["in"])
-        _check_letters(source.space, w, owner)
-        val = parse_vector(doc.ring, ent["out"], wrap_letter=True)
-        want = source.shift.word_degree(w)
-        for y in val.terms:
-            _check_entry_degree(target.shift, y[0], want, owner)
-        f.set(w, val)
+    cap = _cap("arity_cap", raw.get("arity_cap", doc.caps["arity"]))
+    f = _letter_family(doc.ring, raw.get("table", []), source.shift,
+                       target.shift, 0, cap, owner)
     return AInfMorphism(source, target, f)
 
 
@@ -264,21 +264,16 @@ def _load_bimodule(doc: SpecDocument, name: str, raw: dict) -> TableBimodule:
     space = _need(doc.spaces, raw["space"], "space", owner)
     table: Dict[Tuple[Word, str, Word], Vector] = {}
     for ent in raw.get("table", []):
-        lw = _word(ent.get("left"))
-        rw = _word(ent.get("right"))
         v = str(ent["v"])
         if v not in space.gens:
             raise ValidationError("%s: unknown bimodule generator %r" %
                                   (owner, v))
-        _check_letters(left.space, lw, owner)
-        _check_letters(right.space, rw, owner)
-        val = parse_vector(doc.ring, ent["out"])
-        want = (left.shift.word_degree(lw) + space.degree(v)
-                + right.shift.word_degree(rw) + 1)
-        for y in val.terms:
-            _check_entry_degree(space, y, space.grading.normalize(want),
-                                owner)
-        table[(lw, v, rw)] = val
+        lw = _word_in(left.space, ent.get("left"), owner)
+        rw = _word_in(right.space, ent.get("right"), owner)
+        want = (left.word_degree(lw) + space.degree(v)
+                + right.word_degree(rw) + 1)
+        table[(lw, v, rw)] = _output(doc.ring, space, ent["out"], want,
+                                     owner)
     return TableBimodule(left, right, space, table)
 
 
@@ -297,23 +292,11 @@ def _load_hom_element(doc: SpecDocument, name: str, raw: dict) -> HomElement:
     owner = "hom element %r" % name
     source = _need(doc.modules, raw["source"], "module", owner)
     target = _need(doc.modules, raw["target"], "module", owner)
-    cap = exact_integer(raw.get("cap", doc.caps["weight"]))
-    table: Dict[Tuple[str, Word], Vector] = {}
-    for ent in raw.get("table", []):
-        m = str(ent["m"])
-        if m not in source.space.gens:
-            raise ValidationError("%s: unknown module generator %r" %
-                                  (owner, m))
-        w = _word(ent.get("word"))
-        _check_letters(source.algebra.space, w, owner)
-        val = parse_vector(doc.ring, ent["out"])
-        for y in val.terms:
-            if y not in target.space.gens:
-                raise ValidationError("%s outputs unknown generator %r" %
-                                      (owner, y))
-        table[(m, w)] = val
-    return HomElement(source, target, exact_integer(raw.get("degree", 0)),
-                      table, cap)
+    cap = _cap("cap", raw.get("cap", doc.caps["weight"]))
+    degree = exact_integer(raw.get("degree", 0))
+    table = _module_table(doc.ring, raw.get("table", []), source.algebra,
+                          source.space, target.space, degree, owner)
+    return HomElement(source, target, degree, table, cap)
 
 
 def _load_augmentation(doc: SpecDocument, name: str,
@@ -342,13 +325,39 @@ def _load_base_change(raw: dict) -> RingHom:
 def _load_homotopy(doc: SpecDocument, raw: dict) -> Tuple[str, str, MultiOp]:
     owner = "homotopy between %r and %r" % (raw["f"], raw["g"])
     f = _need(doc.morphisms, raw["f"], "morphism", owner)
-    _need(doc.morphisms, raw["g"], "morphism", owner)
-    h = MultiOp(doc.ring, -1, f.arity_cap)
-    for ent in raw.get("h", []):
-        w = _word(ent["in"])
-        _check_letters(f.source.space, w, owner)
-        h.set(w, parse_vector(doc.ring, ent["out"], wrap_letter=True))
+    g = _need(doc.morphisms, raw["g"], "morphism", owner)
+    if f.source is not g.source or f.target is not g.target:
+        raise ValidationError("%s: the two morphisms must share source and "
+                              "target" % owner)
+    h = _letter_family(doc.ring, raw.get("h", []), f.source.shift,
+                       f.target.shift, -1, f.arity_cap, owner)
+    if () in h.table:
+        raise ValidationError("%s: homotopy families start at arity 1"
+                              % owner)
     return raw["f"], raw["g"], h
+
+
+# the shape of each hom element of an inversion task, as (key, source,
+# target, degree) over the source M and the target N of phi
+_INVERSION_SHAPES = (("phi", "M", "N", 0), ("psi", "N", "M", 0),
+                     ("h", "N", "N", -1), ("ell", "M", "M", -1))
+
+
+def _load_inversion(doc: SpecDocument, raw: dict,
+                    owner: str) -> Dict[str, str]:
+    task = {key: raw[key] for key, _, _, _ in _INVERSION_SHAPES}
+    homs = {key: _need(doc.hom_elements, name, "hom element", owner)
+            for key, name in task.items()}
+    ends = {"M": homs["phi"].source, "N": homs["phi"].target}
+    for key, source, target, degree in _INVERSION_SHAPES:
+        e = homs[key]
+        if (e.source is not ends[source] or e.target is not ends[target]
+                or e.degree != degree):
+            raise ValidationError(
+                "%s: %s %r must map %s -> %s in degree %d, where phi "
+                "maps M -> N" % (owner, key, task[key], source, target,
+                                 degree))
+    return task
 
 
 @contextmanager
@@ -415,10 +424,7 @@ def load_dict(raw: dict) -> SpecDocument:
     caps = {"weight": 4, "arity": 4}
     with _entity("caps"):
         for k, v in (raw.get("caps") or {}).items():
-            caps[k] = exact_integer(v)
-            if caps[k] < 0:
-                raise ValueError("cap %r is %d; caps must be 0 or more"
-                                 % (k, caps[k]))
+            caps[k] = _cap(k, v)
     doc = SpecDocument(ring=ring, grading=grading, caps=caps)
     if raw.get("base_change") is not None:
         with _entity("base_change"):
@@ -434,10 +440,7 @@ def load_dict(raw: dict) -> SpecDocument:
         with _entity("homotopy %d" % i):
             doc.homotopies.append(_load_homotopy(doc, hraw))
     for i, iraw in enumerate(_section(raw, "inversions", list)):
-        with _entity("inversion task %d" % i):
-            for key in ("phi", "psi", "h", "ell"):
-                _need(doc.hom_elements, iraw[key], "hom element",
-                      "inversion task")
-            doc.inversions.append({k: iraw[k]
-                                   for k in ("phi", "psi", "h", "ell")})
+        owner = "inversion task %d" % i
+        with _entity(owner):
+            doc.inversions.append(_load_inversion(doc, iraw, owner))
     return doc

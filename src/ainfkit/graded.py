@@ -255,8 +255,7 @@ class MultiOp:
 
 
 def sandwich(op: MultiOp, word: Word,
-              letter_parity: Callable[[str], int],
-              min_arity: int = 0) -> Vector:
+              letter_parity: Callable[[str], int]) -> Vector:
     """The coderivation 1^(x) (x) op (x) 1^(x) evaluated on a word.
 
     Sums over every contiguous block (including empty blocks at each of the
@@ -270,7 +269,7 @@ def sandwich(op: MultiOp, word: Word,
         pref_par = sum(letter_parity(x) for x in word[:i]) % 2
         s = ring.from_int(sign(op.degree * pref_par))
         top = min(op.arity_cap, n - i)
-        for ln in range(max(min_arity, 0), top + 1):
+        for ln in range(top + 1):
             mid = op.apply(word[i:i + ln])
             if mid.is_zero():
                 continue

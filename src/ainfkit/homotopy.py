@@ -300,6 +300,7 @@ class UeContraction:
         self.U = UAlgebra(A)
         self.ring = A.ring
         self.cap = cap
+        self.limit = 2 * cap + 2  # steps allowed before a reduction stalls
 
     def h_op(self, vec) -> Vector:
         if not isinstance(vec, Vector):
@@ -327,20 +328,17 @@ class UeContraction:
         return all(len(u) == 0 or (len(u) == 1 and len(u[0]) == 1)
                    for u in vec.terms)
 
-    def reduce(self, vec: Vector,
-               max_iter: Optional[int] = None) -> Tuple[int, Vector, Vector]:
+    def reduce(self, vec: Vector) -> Tuple[int, Vector, Vector]:
         """Iterate 1 - [d, H] until the element lies in the base; returns
         (number of steps, base element, the accumulated homotopy value whose
         boundary certifies the reduction on closed inputs)."""
-        limit = max_iter if max_iter is not None else 2 * self.cap + 2
-        ell, passed, cur = perturbation_series(vec, self.e_op, limit,
+        ell, passed, cur = perturbation_series(vec, self.e_op, self.limit,
                                                "reduction", self.in_base)
         return ell, cur, self.h_op(passed)
 
 
-def ue_contraction(A: AInfAlgebra, cap: int,
-                   max_iter: Optional[int] = None
-                   ) -> Tuple[UeContraction, CheckReport]:
+def ue_contraction(A: AInfAlgebra,
+                   cap: int) -> Tuple[UeContraction, CheckReport]:
     """Build the contraction and certify it on all concatenation words of
     weight <= cap: 1 - [d, H] fixes the base pointwise, iterates every word
     into the base, and for every closed element u exhibits a base element a
@@ -354,7 +352,6 @@ def ue_contraction(A: AInfAlgebra, cap: int,
                       "contracts closed elements onto it", cap)
     U = C.U
     words = list(U.uwords(cap, eta_free=True))
-    limit = max_iter if max_iter is not None else 2 * cap + 2
     for u in words:
         uvec = Vector.basis(R, u)
         if C.in_base(uvec) and C.e_op(uvec) != uvec:
@@ -365,7 +362,7 @@ def ue_contraction(A: AInfAlgebra, cap: int,
         for u in words:
             try:
                 ell = perturbation_series(Vector.basis(R, u), C.e_op,
-                                          limit + 1, "reduction",
+                                          C.limit + 1, "reduction",
                                           C.in_base)[0]
             except UnsupportedStructure as exc:
                 rep.fail(((u, "nilpotence"), "a base element", exc.witness))
@@ -384,7 +381,7 @@ def ue_contraction(A: AInfAlgebra, cap: int,
             u = Vector(R)
             for j, c in enumerate(sol):
                 u.add_term(words[j], c)
-            ell, a, hhat = C.reduce(u, limit)
+            ell, a, hhat = C.reduce(u)
             if u - a != C.d_op(hhat):
                 rep.fail(((u, "certificate", ell), u - a, C.d_op(hhat)))
                 break
@@ -530,23 +527,17 @@ def bar_transfer_contraction(M: ModuleLike, F: DgaMorphism,
             vec = Vector.basis(R, vec)
         return vec.bind(lambda c: h_table.get(c, Vector.zero(R)))
 
-    def split(t, beta: Word) -> Tuple[Vector, Vector]:
-        total = module_coderivation(Q, t, beta)
+    def merging(t, beta: Word) -> Vector:
+        """The weight-lowering part B of the coderivation on one word."""
         w0 = _bar_weight(t, beta)
-        d_part = Vector.zero(R)
-        b_part = Vector.zero(R)
-        for (t2, b2), c in total.terms.items():
-            if _bar_weight(t2, b2) == w0:
-                d_part.add_term((t2, b2), c)
-            else:
-                b_part.add_term((t2, b2), c)
-        return d_part, b_part
-
-    def d_op(vec: Vector) -> Vector:
-        return vec.bind(lambda p: split(*p)[0])
+        out = Vector.zero(R)
+        for (t2, b2), c in module_coderivation(Q, t, beta).terms.items():
+            if _bar_weight(t2, b2) != w0:
+                out.add_term((t2, b2), c)
+        return out
 
     def b_op(vec: Vector) -> Vector:
-        return vec.bind(lambda p: split(*p)[1])
+        return vec.bind(lambda p: merging(*p))
 
     def total_op(vec: Vector) -> Vector:
         return vec.bind(lambda p: module_coderivation(Q, p[0], p[1]))

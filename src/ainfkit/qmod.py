@@ -155,8 +155,8 @@ def tensor_hom(QM: TensorModule, QN: TensorModule, phi: HomElement,
     return HomElement(QM, QN, phi.degree, table, cap)
 
 
-def q_module(M: AInfModule, flip_right_sign: bool = False) -> TensorModule:
-    return TensorModule(M, UeBimodule(M.algebra, flip_right_sign))
+def q_module(M: AInfModule) -> TensorModule:
+    return TensorModule(M, UeBimodule(M.algebra))
 
 
 def q_differential(Q: TensorModule, vec: Vector) -> Vector:

@@ -387,32 +387,66 @@ def _drop(path):
     return mutate
 
 
-@pytest.mark.parametrize("mutate, entity", [
-    (_set(("algebras", "A", "table", 1, "out"), [["e", "abc"]]),
+def _psi_wrong_way(doc):
+    """A copy N of the module M, phi the identity M -> N and h on N, with
+    phi given again as psi, so psi maps M -> N instead of N -> M."""
+    doc["modules"]["N"] = copy.deepcopy(doc["modules"]["M"])
+    homs = doc["hom_elements"]
+    homs["mn"] = dict(homs["id"], target="N")
+    homs["zn"] = dict(homs["zeroh"], source="N", target="N")
+    doc["inversions"][0].update(phi="mn", psi="mn", h="zn")
+
+
+# (base document, command) for the malformed-input cases
+CURVED = (DOC_CURVED, "check-algebra")
+HOMOTOPY = (DOC_HOMOTOPY, "homotopy-check")
+INVERSION = (DOC_BIMODULE, "invert-homotopy")
+
+
+@pytest.mark.parametrize("base, mutate, entity", [
+    (CURVED, _set(("algebras", "A", "table", 1, "out"), [["e", "abc"]]),
      "algebra 'A'"),
-    (_drop(("algebras", "A", "space")), "algebra 'A'"),
-    (_set(("spaces", "A", 1), ["u", "x"]), "space 'A'"),
-    (_set(("algebras", "A", "table", 1, "out"), [["e", 2.7]]),
+    (CURVED, _drop(("algebras", "A", "space")), "algebra 'A'"),
+    (CURVED, _set(("spaces", "A", 1), ["u", "x"]), "space 'A'"),
+    (CURVED, _set(("algebras", "A", "table", 1, "out"), [["e", 2.7]]),
      "algebra 'A'"),
-    (_set(("modules", "M", "table", 0, "out"), [["y", True]]),
+    (CURVED, _set(("modules", "M", "table", 0, "out"), [["y", True]]),
      "module 'M'"),
-    (_set(("algebras", "A", "arity_cap"), 2.7), "algebra 'A'"),
-    (_set(("grading",), ["x"]), "grading"),
-    (_set(("algebras",), [1]), "algebras"),
-    (_set(("spaces",), [1]), "spaces"),
-    (_set(("ring",), 7), "ring"),
-    (_set(("inversions",), 5), "inversions"),
-    (_set(("ring", "n"), 7.9), "ring"),
-    (_set(("ring", "n"), str(2 ** 89 - 1)), "ring"),
-    (_set(("base_change",), {"kind": "mod", "n": 5.5}), "base_change"),
-    (_set(("base_change",), ["mod", 5]), "base_change"),
-    (_set(("base_change",), {"kind": "mod"}), "base_change"),
-    (_set(("base_change",), {"kind": "mod", "n": 0}), "base_change"),
-    (_set(("base_change",), {"kind": "p-adic"}), "base_change"),
-    (_set(("spaces", "A"), {"e0": 1, "u1": 2}), "space 'A'"),
-    (_set(("spaces", "A", 1), "u1"), "space 'A'"),
-    (_set(("ring",), {"kind": "poly", "base": {"kind": "Q"},
-                      "variables": "xy"}), "ring descriptor"),
+    (CURVED, _set(("algebras", "A", "arity_cap"), 2.7), "algebra 'A'"),
+    (CURVED, _set(("grading",), ["x"]), "grading"),
+    (CURVED, _set(("algebras",), [1]), "algebras"),
+    (CURVED, _set(("spaces",), [1]), "spaces"),
+    (CURVED, _set(("ring",), 7), "ring"),
+    (CURVED, _set(("inversions",), 5), "inversions"),
+    (CURVED, _set(("ring", "n"), 7.9), "ring"),
+    (CURVED, _set(("ring", "n"), str(2 ** 89 - 1)), "ring"),
+    (CURVED, _set(("base_change",), {"kind": "mod", "n": 5.5}),
+     "base_change"),
+    (CURVED, _set(("base_change",), ["mod", 5]), "base_change"),
+    (CURVED, _set(("base_change",), {"kind": "mod"}), "base_change"),
+    (CURVED, _set(("base_change",), {"kind": "mod", "n": 0}),
+     "base_change"),
+    (CURVED, _set(("base_change",), {"kind": "p-adic"}), "base_change"),
+    (CURVED, _set(("spaces", "A"), {"e0": 1, "u1": 2}), "space 'A'"),
+    (CURVED, _set(("spaces", "A", 1), "u1"), "space 'A'"),
+    (CURVED, _set(("ring",), {"kind": "poly", "base": {"kind": "Q"},
+                              "variables": "xy"}), "ring descriptor"),
+    (HOMOTOPY, _set(("homotopies", 0, "h", 0, "out"), [["z", "1"]]),
+     "homotopy between 'f' and 'g' outputs unknown generator 'z'"),
+    (HOMOTOPY, _set(("homotopies", 0, "h", 0, "out"), [["s", "1"]]),
+     "homotopy between 'f' and 'g': output 's' has degree 0"),
+    (HOMOTOPY, _set(("homotopies", 0, "h"),
+                    [{"in": ["x"], "out": [["t", "6"]]},
+                     {"in": [], "out": [["t", "1"]]}]),
+     "homotopy between 'f' and 'g': homotopy families start at arity 1"),
+    (HOMOTOPY, _set(("morphisms", "g", "target"), "A"),
+     "homotopy between 'f' and 'g': the two morphisms must share"),
+    (INVERSION, _set(("hom_elements", "zeroh", "table"),
+                     [{"m": "x", "word": [], "out": [["x", "1"]]}]),
+     "hom element 'zeroh': output 'x' has degree 0"),
+    (INVERSION, _set(("hom_elements", "id", "cap"), -1),
+     "hom element 'id': cap 'cap' is -1"),
+    (INVERSION, _psi_wrong_way, "inversion task 0: psi 'mn' must map N -> M"),
 ], ids=["coefficient-abc", "missing-space", "degree-x", "float-coefficient",
         "bool-coefficient", "float-arity-cap", "grading-not-an-object",
         "algebras-a-list", "spaces-a-list", "ring-an-integer",
@@ -420,15 +454,19 @@ def _drop(path):
         "float-base-change-modulus", "base-change-a-list",
         "base-change-without-modulus", "base-change-modulus-0",
         "unknown-base-change-kind", "space-an-object", "space-entry-a-string",
-        "variables-a-string"])
-def test_malformed_document_exits_2_naming_the_entity(write, mutate,
+        "variables-a-string", "homotopy-unknown-output",
+        "homotopy-output-degree", "homotopy-arity-0", "homotopy-ends-differ",
+        "hom-element-degree", "hom-element-negative-cap",
+        "inversion-psi-wrong-way"])
+def test_malformed_document_exits_2_naming_the_entity(write, base, mutate,
                                                       entity):
-    doc = copy.deepcopy(DOC_CURVED)
+    doc, command = base
+    doc = copy.deepcopy(doc)
     mutate(doc)
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-m", "ainfkit.cli", "check-algebra", write(doc)],
+        [sys.executable, "-m", "ainfkit.cli", command, write(doc)],
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 2, proc.stderr
     assert entity in proc.stderr
