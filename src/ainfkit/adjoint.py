@@ -13,7 +13,7 @@ and Deltabar drops the two trivial splittings of the full deconcatenation.
 D_1 inserts curvature terms, so d is not square-zero: instead d^2 = [c, -]
 with c = -omega(b_0(1)), which is exactly what ``check_u_curvature``
 verifies (and what breaks when Deltabar is corrupted to the full Delta --
-the ``full_delta`` switch exists for that mutation).
+``UAlgebra(base, full_delta=True)`` builds that mutation).
 
 The unital quotient U_e(A) divides by the two-sided ideal generated by
 1 - omega[eta] and all letters containing eta strictly inside a longer word.
@@ -40,7 +40,7 @@ import itertools
 from typing import Any, Callable, Dict, Iterator, List, Tuple
 
 from .ainf import AInfAlgebra, AInfModule, AInfMorphism, CurvedDga
-from .graded import Vector, Word, block_extend, sign
+from .graded import Vector, Word, block_extend, insert_blocks, sign
 from .report import FAIL, PASS, CheckReport
 
 Letter = Tuple[str, ...]        # nonempty word of A[1] generator names
@@ -48,23 +48,19 @@ UWord = Tuple[Letter, ...]      # concatenation word; () is the unit
 
 
 class UAlgebra:
-    """U(A) and its unital quotient U_e(A) for a table-backed algebra."""
+    """U(A) and its unital quotient U_e(A) for a table-backed algebra;
+    ``full_delta`` corrupts Dbar_2 to the full coproduct (a mutation)."""
 
-    def __init__(self, base: AInfAlgebra):
+    def __init__(self, base: AInfAlgebra, full_delta: bool = False):
         self.base = base
         self.ring = base.ring
         self.grading = base.grading
+        self.full_delta = full_delta
 
     # -- degrees ------------------------------------------------------------
 
-    def letter_degree(self, lt: Letter) -> int:
-        return self.base.word_degree(lt) + 1
-
     def letter_parity(self, lt: Letter) -> int:
         return (self.base.word_parity(lt) + 1) % 2
-
-    def uword_degree(self, u: UWord) -> int:
-        return sum(self.letter_degree(lt) for lt in u)
 
     def uword_parity(self, u: UWord) -> int:
         return sum(self.letter_parity(lt) for lt in u) % 2
@@ -103,7 +99,7 @@ class UAlgebra:
             out.add_term((tuple(w),), self.ring.neg(c))
         return out
 
-    def d_letter(self, lt: Letter, full_delta: bool = False) -> Vector:
+    def d_letter(self, lt: Letter) -> Vector:
         """D = D_1 + Dbar_2 on one letter (a vector of uwords)."""
         R = self.ring
         out = Vector.zero(R)
@@ -112,25 +108,21 @@ class UAlgebra:
         for i in range(1, len(lt)):
             c = R.from_int(-sign(self.base.word_parity(lt[:i])))
             out.add_term((tuple(lt[:i]), tuple(lt[i:])), c)
-        if full_delta:
+        if self.full_delta:
             # the two trivial splittings the reduced coproduct drops, with
             # the empty tensor factor read as the empty uword
             out.add_term((lt,), R.from_int(-1))
             out.add_term((lt,), R.from_int(-sign(self.base.word_parity(lt))))
         return out
 
-    def differential(self, u, full_delta: bool = False) -> Vector:
+    def differential(self, u) -> Vector:
         """Derivation extension of the letter-wise map to uwords."""
         if isinstance(u, Vector):
-            return u.bind(lambda w: self.differential(w, full_delta))
-        out = Vector.zero(self.ring)
-        pre = 0
-        for i, lt in enumerate(u):
-            s = self.ring.from_int(sign(pre))
-            for piece, c in self.d_letter(lt, full_delta).terms.items():
-                out.add_term(u[:i] + piece + u[i + 1:], self.ring.mul(s, c))
-            pre = (pre + self.letter_parity(lt)) % 2
-        return out
+            return u.bind(self.differential)
+        zero = Vector(self.ring)
+        return insert_blocks(
+            self.ring, u, self.letter_parity, True, 1,
+            lambda block: self.d_letter(block[0]) if block else zero)
 
     # -- the unital quotient ------------------------------------------------
 
@@ -150,21 +142,23 @@ class UAlgebra:
             kept.append(lt)
         return Vector.basis(self.ring, tuple(kept))
 
-    def ue_differential(self, u, full_delta: bool = False) -> Vector:
-        return self.normal_form(self.differential(self.normal_form(u),
-                                                  full_delta))
+    def ue_differential(self, u) -> Vector:
+        return self.normal_form(self.differential(self.normal_form(u)))
 
 
 def check_u_curvature(U: UAlgebra, cap: int,
                       full_delta: bool = False) -> CheckReport:
     """d^2 u = c.u - u.c on every uword of weight <= cap, both in U(A) and,
-    after normal forms, in U_e(A)."""
+    after normal forms, in U_e(A).  With ``full_delta`` the check runs on
+    the mutant ``UAlgebra(U.base, full_delta=True)``."""
     rep = CheckReport("u-curvature", "d^2 = [c,-] on the adjoint algebra",
                       cap)
+    if full_delta:
+        U = UAlgebra(U.base, full_delta=True)
     c = U.curvature()
     for u in U.uwords(cap):
         uvec = Vector.basis(U.ring, u)
-        lhs = U.differential(U.differential(uvec, full_delta), full_delta)
+        lhs = U.differential(U.differential(uvec))
         rhs = U.mul(c, uvec) - U.mul(uvec, c)
         if lhs != rhs:
             rep.fail((u, rhs, lhs))
@@ -172,8 +166,7 @@ def check_u_curvature(U: UAlgebra, cap: int,
     else:
         for u in U.uwords(cap, eta_free=True):
             uvec = Vector.basis(U.ring, u)
-            lhs = U.ue_differential(U.ue_differential(uvec, full_delta),
-                                    full_delta)
+            lhs = U.ue_differential(U.ue_differential(uvec))
             rhs = U.normal_form(U.mul(c, uvec) - U.mul(uvec, c))
             if lhs != rhs:
                 rep.fail((("quotient", u), rhs, lhs))
@@ -210,38 +203,26 @@ def ue_shift_parity(U: UAlgebra, u: UWord) -> int:
     return (U.uword_parity(u) + 1) % 2
 
 
-def ue_b(U: UAlgebra, word: Tuple[UWord, ...],
-         full_delta: bool = False) -> Vector:
+def ue_b(U: UAlgebra, word: Tuple[UWord, ...]) -> Vector:
     """The structure family of the curved dg-algebra U_e(A) on words of
     shifted uwords: the arity 0/1/2 dictionary of any classical algebra."""
     R = U.ring
     if len(word) == 0:
         return U.normal_form(U.curvature()).scaled(R.from_int(-1))
     if len(word) == 1:
-        return U.ue_differential(word[0], full_delta).scaled(R.from_int(-1))
+        return U.ue_differential(word[0]).scaled(R.from_int(-1))
     if len(word) == 2:
         s = R.from_int(-sign(ue_shift_parity(U, word[0])))
         return U.normal_form(word[0] + word[1]).scaled(s)
     return Vector.zero(R)
 
 
-def ue_coderivation(U: UAlgebra, word: Tuple[UWord, ...],
-                    full_delta: bool = False) -> Vector:
+def ue_coderivation(U: UAlgebra, word: Tuple[UWord, ...]) -> Vector:
     """1^(x) (x) ue_b (x) 1^(x) on a word of shifted uwords, including the
     arity-zero insertions."""
-    R = U.ring
-    out = Vector.zero(R)
-    n = len(word)
-    for i in range(n + 1):
-        pre = sum(ue_shift_parity(U, u) for u in word[:i]) % 2
-        s = R.from_int(sign(pre))
-        for j in range(i, min(i + 2, n) + 1):
-            val = ue_b(U, word[i:j], full_delta)
-            if val.is_zero():
-                continue
-            for u, c in val.terms.items():
-                out.add_term(word[:i] + (u,) + word[j:], R.mul(s, c))
-    return out
+    return insert_blocks(
+        U.ring, word, lambda u: ue_shift_parity(U, u), True, 2,
+        lambda block: ue_b(U, block).map_words(lambda u: (u,)))
 
 
 def inclusion_extended(U: UAlgebra, w: Word) -> Vector:
@@ -258,13 +239,16 @@ def check_inclusion_morphism(U: UAlgebra, cap: int,
                              full_delta: bool = False) -> CheckReport:
     """The canonical inclusion is a morphism of structures: extending it as a
     coalgebra map intertwines the two coderivations on words of weight
-    <= cap."""
+    <= cap.  With ``full_delta`` the check runs on the mutant
+    ``UAlgebra(U.base, full_delta=True)``."""
     rep = CheckReport("ue-inclusion",
                       "B' o incl = incl o B on the shifted side", cap)
+    if full_delta:
+        U = UAlgebra(U.base, full_delta=True)
     for w in U.base.words(cap):
         lhs = U.base.B(w).bind(lambda w2: inclusion_extended(U, w2))
         rhs = inclusion_extended(U, w).bind(
-            lambda uw: ue_coderivation(U, uw, full_delta))
+            lambda uw: ue_coderivation(U, uw))
         if lhs != rhs:
             rep.fail((w, lhs, rhs))
             break

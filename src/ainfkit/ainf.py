@@ -59,9 +59,6 @@ class AInfAlgebra:
     def letter_parity(self, x: str) -> int:
         return self.shift.parity(x)
 
-    def letter_degree(self, x: str) -> int:
-        return self.shift.degree(x)
-
     def word_parity(self, w: Word) -> int:
         return self.shift.word_parity(w)
 
@@ -392,9 +389,6 @@ class ModuleLike:
     def m_parity(self, m) -> int:
         raise NotImplementedError
 
-    def m_degree(self, m) -> int:
-        raise NotImplementedError
-
     def b_apply(self, m, aword: Word) -> Vector:
         raise NotImplementedError
 
@@ -424,9 +418,6 @@ class AInfModule(ModuleLike):
     def m_parity(self, m) -> int:
         return self.space.parity(m)
 
-    def m_degree(self, m) -> int:
-        return self.space.degree(m)
-
     def b_apply(self, m, aword: Word) -> Vector:
         v = self.table.get((m, tuple(aword)))
         return v if v is not None else Vector.zero(self.ring)
@@ -442,15 +433,23 @@ def module_words(M: ModuleLike, cap: int) -> Iterator[Tuple[Any, Word]]:
             yield m, alpha
 
 
+def head_apply(ring: Ring, head: Callable[[Any, Word], Vector], m,
+               alpha: Word) -> Vector:
+    """f (.) 1^(x) on the word m (.) alpha: the sum over j of
+    head(m, alpha[:j]) paired with the untouched rest alpha[j:]."""
+    out = Vector(ring)
+    for j in range(len(alpha) + 1):
+        rest = alpha[j:]
+        for n, c in head(m, alpha[:j]).terms.items():
+            out.add_term((n, rest), c)
+    return out
+
+
 def module_coderivation(M: ModuleLike, m, alpha: Word) -> Vector:
     """B^M = b^M (.) 1^(x) + 1 (.) B on one word; output words are pairs."""
     ring = M.ring
     A = M.algebra
-    out = Vector.zero(ring)
-    for j in range(len(alpha) + 1):
-        head = M.b_apply(m, alpha[:j])
-        for m2, c in head.terms.items():
-            out.add_term((m2, alpha[j:]), c)
+    out = head_apply(ring, M.b_apply, m, alpha)
     s = M.m_parity(m)
     inner = sandwich(A.b, alpha, A.letter_parity)
     for w2, c in inner.terms.items():
@@ -533,12 +532,7 @@ class HomElement:
 
     def operator(self, m, alpha: Word) -> Vector:
         """phi (.) 1^(x) on a module-with-tail word; outputs are pairs."""
-        out = Vector.zero(self.ring)
-        for j in range(len(alpha) + 1):
-            head = self.apply(m, alpha[:j])
-            for n, c in head.terms.items():
-                out.add_term((n, alpha[j:]), c)
-        return out
+        return head_apply(self.ring, self.apply, m, alpha)
 
     def support_min(self) -> Optional[int]:
         lens = {len(k[1]) for k in self.table}

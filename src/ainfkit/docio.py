@@ -200,9 +200,7 @@ def _load_algebra(doc: SpecDocument, name: str, raw: dict) -> AInfAlgebra:
     else:
         raise ValidationError("%s: tables must be 'm' or 'b', got %r" %
                               (owner, kind))
-    if raw.get("impose_unit", True):
-        b = impose_unit_laws(space, unit, b)
-    return AInfAlgebra(space, unit, b)
+    return AInfAlgebra(space, unit, impose_unit_laws(space, unit, b))
 
 
 def _load_dga(doc: SpecDocument, name: str, raw: dict) -> CurvedDga:
@@ -292,6 +290,10 @@ def _load_hom_element(doc: SpecDocument, name: str, raw: dict) -> HomElement:
     owner = "hom element %r" % name
     source = _need(doc.modules, raw["source"], "module", owner)
     target = _need(doc.modules, raw["target"], "module", owner)
+    if source.algebra is not target.algebra:
+        raise ValidationError("%s: modules %r and %r lie over different "
+                              "algebras" % (owner, raw["source"],
+                                            raw["target"]))
     cap = _cap("cap", raw.get("cap", doc.caps["weight"]))
     degree = exact_integer(raw.get("degree", 0))
     table = _module_table(doc.ring, raw.get("table", []), source.algebra,
@@ -306,8 +308,7 @@ def _load_augmentation(doc: SpecDocument, name: str,
     values = {str(k): parse_coeff(doc.ring, v)
               for k, v in (raw.get("values") or {}).items()}
     try:
-        aug = AugmentationMap(algebra, values,
-                              check_unit=bool(raw.get("check_unit", True)))
+        aug = AugmentationMap(algebra, values)
     except ValueError as exc:
         raise ValidationError("%s: %s" % (owner, exc))
     return raw["algebra"], aug

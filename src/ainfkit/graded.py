@@ -254,28 +254,42 @@ class MultiOp:
                 and self.table == other.table)
 
 
+def insert_blocks(ring: Ring, word: Sequence,
+                  letter_parity: Callable[[Any], int], odd: bool,
+                  max_block: int,
+                  block: Callable[[Sequence], Vector]) -> Vector:
+    """The insertion 1^(x) (x) f (x) 1^(x) of a family f on a word.
+
+    Sums word[:i] + w + word[j:] over every block word[i:j] of at most
+    ``max_block`` letters (empty blocks included) and every term c*w of
+    ``block(word[i:j])``; a term is negated when the family is odd and the
+    crossed prefix word[:i] is odd.
+    """
+    n = len(word)
+    out = Vector(ring)
+    add, neg = out.add_term, ring.neg
+    par = 0
+    for i in range(n + 1):
+        flip = odd and par
+        pre = word[:i]
+        for j in range(i, min(n, i + max_block) + 1):
+            mid = block(word[i:j])
+            if mid.terms:
+                post = word[j:]
+                for w2, c in mid.terms.items():
+                    add(pre + w2 + post, neg(c) if flip else c)
+        if i < n:
+            par = (par + letter_parity(word[i])) % 2
+    return out
+
+
 def sandwich(op: MultiOp, word: Word,
               letter_parity: Callable[[str], int]) -> Vector:
-    """The coderivation 1^(x) (x) op (x) 1^(x) evaluated on a word.
-
-    Sums over every contiguous block (including empty blocks at each of the
-    len+1 positions when the family has an arity-0 entry); the sign is the
-    parity of the operator times the parity of the crossed prefix.
-    """
-    ring = op.ring
-    n = len(word)
-    out = Vector.zero(ring)
-    for i in range(n + 1):
-        pref_par = sum(letter_parity(x) for x in word[:i]) % 2
-        s = ring.from_int(sign(op.degree * pref_par))
-        top = min(op.arity_cap, n - i)
-        for ln in range(top + 1):
-            mid = op.apply(word[i:i + ln])
-            if mid.is_zero():
-                continue
-            for w2, c2 in mid.terms.items():
-                out.add_term(word[:i] + w2 + word[i + ln:], ring.mul(s, c2))
-    return out
+    """The coderivation 1^(x) (x) op (x) 1^(x) evaluated on a word, with
+    empty blocks at each of the len+1 positions when the family has an
+    arity-0 entry."""
+    return insert_blocks(op.ring, word, letter_parity, op.degree % 2 == 1,
+                         op.arity_cap, op.apply)
 
 
 def block_extend(ring: Ring, n: int, max_block: int,

@@ -180,32 +180,25 @@ def check_ainf_homotopy(f: AInfMorphism, g: AInfMorphism, h: MultiOp,
                         cap: int) -> CheckReport:
     """The assembled map commutes with the codifferential of the interval
     tensor the source coalgebra on every word of weight <= cap.  On the two
-    grouplike generators this is the morphism condition for f and g; on the
-    connecting generator it is the homotopy condition."""
+    grouplike generators this is the morphism condition for f and g, which
+    check_morphism decides; on the connecting generator it is the homotopy
+    condition."""
     rep = CheckReport("ainf-homotopy",
                       "the interval-assembled coalgebra morphism "
                       "commutes with the codifferentials", cap)
     rep.details["f_morphism"] = check_morphism(f, cap).verdict
     rep.details["g_morphism"] = check_morphism(g, cap).verdict
     if FAIL in (rep.details["f_morphism"], rep.details["g_morphism"]):
-        rep.fail(("morphism-precondition", PASS, rep.details))
+        return rep.fail(("morphism-precondition", PASS, rep.details))
     H = AInfHomotopy(f, g, h)
     I = IntervalCoalgebra(f.ring)
-    for gen in I.GENS:
-        s = f.ring.from_int(sign(I.parity(gen)))
-        bad = False
-        for w in f.source.words(cap):
-            lhs = f.target.B_vector(H.assembled(gen, w))
-            rhs = I.boundary(gen).bind(
-                lambda gen2: H.assembled(gen2, w))
-            rhs = rhs + f.source.B(w).bind(
-                lambda w2: H.assembled(gen, w2)).scaled(s)
-            if lhs != rhs:
-                rep.fail(((gen, w), rhs, lhs))
-                bad = True
-                break
-        if bad:
-            break
+    s = f.ring.from_int(sign(I.parity("I")))
+    for w in f.source.words(cap):
+        lhs = f.target.B_vector(H.extended(w))
+        rhs = I.boundary("I").bind(lambda gen2: H.assembled(gen2, w))
+        rhs = rhs + f.source.B(w).bind(H.extended).scaled(s)
+        if lhs != rhs:
+            return rep.fail((("I", w), rhs, lhs))
     return rep
 
 
@@ -980,17 +973,12 @@ def invert_homotopy(phi: HomElement, psi: HomElement, h: HomElement,
             "arity 0", arity_part(other, 0))
     psi_hat, h_hat = psi, h
     for stage in range(k, cap + 1):
-        obs = obstruction_class(psi_hat, cap, stage)
-        if not obs.is_zero():
-            res = obstruction_is_exact(obs, cap)
-            if res.status == "UNDECIDED":
-                raise UnsupportedStructure(
-                    "stage %d: exactness is undecided" % stage)
-            if res.status != "Exact":
-                raise TheoremViolation(
-                    stage, "the morphism-extension stage equation has "
-                    "no solution", obs)
-            psi_hat = psi_hat.plus(res.primitive.negated())
+        ext = extend_morphism(psi_hat, stage, cap)
+        if isinstance(ext, ObstructionWitness):
+            raise TheoremViolation(
+                stage, "the morphism-extension stage equation has no "
+                "solution", ext.obstruction)
+        psi_hat = ext
         rs = residual(psi_hat, h_hat)
         kr = rs.support_min()
         if kr is not None and kr < stage:

@@ -29,8 +29,8 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from .adjoint import UAlgebra, UeModule, UWord, module_to_ue
 from .ainf import (AInfModule, AInfMorphism, BimoduleLike, HomElement,
-                   ModuleLike, hom_differential, module_coderivation,
-                   module_words)
+                   ModuleLike, head_apply, hom_differential,
+                   module_coderivation, module_words)
 from .graded import Vector, Word, sign
 from .report import FAIL, CheckReport
 
@@ -54,9 +54,6 @@ class UeBimodule(BimoduleLike):
 
     def v_parity(self, chi: UWord) -> int:
         return self.U.uword_parity(chi)
-
-    def v_degree(self, chi: UWord) -> int:
-        return self.U.uword_degree(chi)
 
     def basis(self, cap: int) -> Iterator[Tuple[UWord, int]]:
         if cap < 0:
@@ -106,11 +103,6 @@ class TensorModule(ModuleLike):
         return (self.M.m_parity(m) + self.M.algebra.word_parity(alpha)
                 + self.V.v_parity(v)) % 2
 
-    def m_degree(self, t: TElem) -> int:
-        m, alpha, v = t
-        return (self.M.m_degree(m) + self.M.algebra.word_degree(alpha)
-                + self.V.v_degree(v))
-
     def basis(self, cap: int) -> Iterator[Tuple[TElem, int]]:
         for m, wm in self.M.basis(cap):
             if wm > cap:
@@ -146,10 +138,7 @@ def tensor_hom(QM: TensorModule, QN: TensorModule, phi: HomElement,
     table: Dict[Tuple[TElem, Word], Vector] = {}
     for t, wt in QM.basis(cap):
         m, alpha, v = t
-        val = Vector.zero(QM.ring)
-        for j in range(len(alpha) + 1):
-            for m2, c in phi.apply(m, alpha[:j]).terms.items():
-                val.add_term((m2, alpha[j:], v), c)
+        val = phi.operator(m, alpha).map_words(lambda p: (p[0], p[1], v))
         if not val.is_zero():
             table[(t, ())] = val
     return HomElement(QM, QN, phi.degree, table, cap)
@@ -212,10 +201,8 @@ def q_as_ue(Q: TensorModule, cap: int) -> UeModule:
 def lambda_operator(Q: TensorModule, m, alpha: Word) -> Vector:
     """(lambda (.) 1^(x)): insert the empty adjoint-algebra word at every
     splitting of the right word."""
-    out = Vector.zero(Q.ring)
-    for j in range(len(alpha) + 1):
-        out.add_term(((m, alpha[:j], ()), alpha[j:]), Q.ring.one)
-    return out
+    return head_apply(Q.ring, lambda m, a: Vector.basis(Q.ring, (m, a, ())),
+                      m, alpha)
 
 
 def epsilon_operator(Q: TensorModule, EM: UeModule, t: TElem,
@@ -401,6 +388,19 @@ def check_adjunction_transport(Q: TensorModule, N: AInfModule,
 # restriction and extension of scalars
 
 
+def _precompose(f: AInfMorphism, names, family: Callable[[Any, Word], Vector],
+                cap: int) -> Dict[Tuple[Any, Word], Vector]:
+    """The table of family(m, F(alpha)) over the module generators m and
+    the source words alpha up to the cap, F the coalgebra extension of f."""
+    table: Dict[Tuple[Any, Word], Vector] = {}
+    for m in names:
+        for alpha in f.source.words(cap):
+            val = f.extended(alpha).bind(lambda w2: family(m, w2))
+            if not val.is_zero():
+                table[(m, alpha)] = val
+    return table
+
+
 def restrict_scalars(f: AInfMorphism, M2: AInfModule,
                      arity_cap: Optional[int] = None) -> AInfModule:
     """Pull a module back along a morphism of algebras: the new family is
@@ -409,13 +409,8 @@ def restrict_scalars(f: AInfMorphism, M2: AInfModule,
     if M2.algebra is not f.target:
         raise ValueError("module must live over the morphism target")
     cap = arity_cap if arity_cap is not None else M2.arity_cap
-    table: Dict[Tuple[str, Word], Vector] = {}
-    for m in M2.space.names:
-        for alpha in f.source.words(cap):
-            val = f.extended(alpha).bind(lambda w2: M2.b_apply(m, w2))
-            if not val.is_zero():
-                table[(m, alpha)] = val
-    return AInfModule(f.source, M2.space, table, cap)
+    return AInfModule(f.source, M2.space,
+                      _precompose(f, M2.space.names, M2.b_apply, cap), cap)
 
 
 def restrict_hom(f: AInfMorphism, phi: HomElement, MA: AInfModule,
@@ -423,13 +418,8 @@ def restrict_hom(f: AInfMorphism, phi: HomElement, MA: AInfModule,
     """Restriction on morphisms: the same precomposition as on modules.
     Strict morphisms restrict to strict morphisms, since the geometric
     extension of a nonempty word never produces the empty word."""
-    table: Dict[Tuple[Any, Word], Vector] = {}
-    for m in MA.space.names:
-        for alpha in f.source.words(cap):
-            val = f.extended(alpha).bind(lambda w2: phi.apply(m, w2))
-            if not val.is_zero():
-                table[(m, alpha)] = val
-    return HomElement(MA, NA, phi.degree, table, cap)
+    return HomElement(MA, NA, phi.degree,
+                      _precompose(f, MA.space.names, phi.apply, cap), cap)
 
 
 def check_restriction_square(f: AInfMorphism, M2: AInfModule,

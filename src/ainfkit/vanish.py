@@ -29,7 +29,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .ainf import (AInfAlgebra, AInfModule, CurvedDga, ModuleLike, MultiOp,
                    check_module, m_from_b, module_coderivation, module_words)
-from .graded import GradedSpace, Grading, Vector, Word, sign
+from .graded import GradedSpace, Grading, Vector, Word, insert_blocks, sign
 from .linalg import solve_linear
 from .report import FAIL, PASS, UNDECIDED, CheckReport
 from .rings import PolynomialRing, Ring, RingHom, UnsupportedRing
@@ -188,18 +188,13 @@ def h_operator(M: ModuleLike, aug: AugmentationMap) -> Callable:
 
 def curvature_insertions(M: ModuleLike, m, alpha: Word) -> Vector:
     """B_0: the part of the module coderivation inserting b_0(1) only."""
-    ring = M.ring
     A = M.algebra
     c0 = A.b.apply(())
-    out = Vector.zero(ring)
-    par = M.m_parity(m)
-    for i in range(len(alpha) + 1):
-        s = ring.from_int(sign(par))
-        for w, c in c0.terms.items():
-            out.add_term((m, alpha[:i] + w + alpha[i:]), ring.mul(s, c))
-        if i < len(alpha):
-            par = (par + A.letter_parity(alpha[i])) % 2
-    return out
+    inner = insert_blocks(M.ring, alpha, A.letter_parity, True, 0,
+                          lambda block: c0)
+    if M.m_parity(m):
+        inner = -inner
+    return inner.map_words(lambda w: (m, w))
 
 
 def check_curvature_commutator(M: ModuleLike, aug: AugmentationMap,

@@ -397,10 +397,24 @@ def _psi_wrong_way(doc):
     doc["inversions"][0].update(phi="mn", psi="mn", h="zn")
 
 
+def _hom_across_algebras(doc):
+    """A module N over a second algebra S, and an inversion task whose hom
+    elements run between M (over T) and N."""
+    doc["spaces"]["S"] = [["e", 0]]
+    doc["algebras"]["S"] = {"space": "S", "unit": "e", "table": []}
+    doc["modules"]["N"] = dict(doc["modules"]["M"], algebra="S")
+    homs = doc["hom_elements"]
+    homs["mn"] = dict(homs["id"], target="N")
+    homs["nm"] = dict(homs["id"], source="N")
+    homs["zn"] = dict(homs["zeroh"], source="N", target="N")
+    doc["inversions"][0].update(phi="mn", psi="nm", h="zn")
+
+
 # (base document, command) for the malformed-input cases
 CURVED = (DOC_CURVED, "check-algebra")
 HOMOTOPY = (DOC_HOMOTOPY, "homotopy-check")
 INVERSION = (DOC_BIMODULE, "invert-homotopy")
+GAMMA = (DOC_GAMMA, "kp-vanish")
 
 
 @pytest.mark.parametrize("base, mutate, entity", [
@@ -447,6 +461,11 @@ INVERSION = (DOC_BIMODULE, "invert-homotopy")
     (INVERSION, _set(("hom_elements", "id", "cap"), -1),
      "hom element 'id': cap 'cap' is -1"),
     (INVERSION, _psi_wrong_way, "inversion task 0: psi 'mn' must map N -> M"),
+    (GAMMA, _set(("augmentations", "l"),
+                 {"algebra": "D", "check_unit": False, "values": {"e": "1"}}),
+     "augmentation 'l': l(m_0(1)) = 6, not 1"),
+    (INVERSION, _hom_across_algebras,
+     "hom element 'mn': modules 'M' and 'N' lie over different algebras"),
 ], ids=["coefficient-abc", "missing-space", "degree-x", "float-coefficient",
         "bool-coefficient", "float-arity-cap", "grading-not-an-object",
         "algebras-a-list", "spaces-a-list", "ring-an-integer",
@@ -457,7 +476,8 @@ INVERSION = (DOC_BIMODULE, "invert-homotopy")
         "variables-a-string", "homotopy-unknown-output",
         "homotopy-output-degree", "homotopy-arity-0", "homotopy-ends-differ",
         "hom-element-degree", "hom-element-negative-cap",
-        "inversion-psi-wrong-way"])
+        "inversion-psi-wrong-way", "augmentation-unit-unchecked",
+        "hom-element-across-algebras"])
 def test_malformed_document_exits_2_naming_the_entity(write, base, mutate,
                                                       entity):
     doc, command = base

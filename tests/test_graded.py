@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from ainfkit.adjoint import UAlgebra, inclusion_extended
 from ainfkit.ainf import AInfAlgebra, AInfMorphism
 from ainfkit.graded import (GradedSpace, Grading, MultiOp, Vector, comultiply,
-                            geometric_extend, sandwich, sign)
+                            geometric_extend, insert_blocks, sandwich, sign)
 from ainfkit.homotopy import AInfHomotopy
 from ainfkit.qmod import ue_functor
 from ainfkit.rings import Integers, IntegersMod
@@ -122,6 +122,49 @@ def test_sandwich_arity_zero_insertions():
     # positions 0,1,2 with signs +,-,+
     assert out.terms == {("c", "a", "a"): 1, ("a", "c", "a"): -1,
                          ("a", "a", "c"): 1}
+
+
+def reference_insert(word, letter_parity, odd, max_block, block, ring):
+    """The insertion summed over every (i, j) with j - i <= max_block, the
+    prefix sign recomputed from scratch for each pair."""
+    out = Vector(ring)
+    for i in range(len(word) + 1):
+        for j in range(i, min(len(word), i + max_block) + 1):
+            pre = sum(letter_parity(x) for x in word[:i])
+            s = ring.from_int(sign(odd * pre))
+            for w2, c in block(word[i:j]).terms.items():
+                out.add_term(word[:i] + w2 + word[j:], ring.mul(s, c))
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_insert_blocks_matches_reference(seed):
+    """The running prefix parity of the insertion kernel agrees with the
+    from-scratch sign, for odd and even families with an arity-0 part."""
+    rng = random.Random(seed)
+    names = ("a", "b", "c")
+    par = parities({x: rng.randrange(2) for x in names})
+    outputs = [w for ln in range(3) for w in itertools.product(names,
+                                                              repeat=ln)]
+    table = {}
+    for ln in range(4):
+        for w in itertools.product(names, repeat=ln):
+            if ln == 0 or rng.random() < 0.6:
+                table[w] = Vector(F5, {out: rng.randrange(1, 5) for out in
+                                       rng.sample(outputs, 2)})
+
+    def block(w):
+        return table.get(w, Vector(F5))
+
+    words = [tuple(rng.choice(names) for _ in range(rng.randrange(6)))
+             for _ in range(6)]
+    for odd in (False, True):
+        for max_block in (0, 1, 3):
+            for w in words:
+                got = insert_blocks(F5, w, par, odd, max_block, block)
+                assert got == reference_insert(w, par, odd, max_block,
+                                               block, F5), (seed, w)
 
 
 def random_odd_family(rng, names, par, arity_cap, ring, with_zero):

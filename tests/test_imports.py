@@ -1,6 +1,7 @@
 """Static hygiene of the package source, checked with the stdlib ast."""
 
 import ast
+import collections
 import pathlib
 
 import ainfkit
@@ -27,3 +28,44 @@ def test_no_unused_imports():
         unused += ["%s:%d %s" % (path.name, line, name)
                    for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def _names(node):
+    """How often each identifier is named under a node: as a variable, an
+    attribute or an imported name."""
+    out = collections.Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            out[n.name.rpartition(".")[2]] += 1
+    return out
+
+
+def test_no_dead_definitions():
+    """Every top-level function or class, and every non-dunder method,
+    defined in the package is named somewhere in src/, tests/ or
+    perfbench/ outside its own definition."""
+    root = SRC.parent.parent
+    named = collections.Counter()
+    for part in ("src", "tests", "perfbench"):
+        for path in sorted((root / part).rglob("*.py")):
+            named += _names(ast.parse(path.read_text(encoding="utf-8")))
+    dead = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defs = []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append(node)
+            if isinstance(node, ast.ClassDef):
+                defs += [m for m in node.body
+                         if isinstance(m, ast.FunctionDef)
+                         and not (m.name.startswith("__")
+                                  and m.name.endswith("__"))]
+        dead += ["%s:%d %s" % (path.name, node.lineno, node.name)
+                 for node in defs
+                 if named[node.name] == _names(node)[node.name]]
+    assert dead == []
