@@ -69,15 +69,6 @@ class AInfAlgebra:
         """The coderivation 1^(x) (x) b (x) 1^(x) on one word."""
         return sandwich(self.b, word, self.letter_parity)
 
-    def B_vector(self, vec: Vector) -> Vector:
-        return vec.bind(self.B)
-
-    def b_whole(self, vec_or_word) -> Vector:
-        """Apply the family to entire words (the counit-side projection)."""
-        if isinstance(vec_or_word, Vector):
-            return vec_or_word.bind(lambda w: self.b.apply(w))
-        return self.b.apply(vec_or_word)
-
     def curvature_letterwise(self) -> Vector:
         """b_0(1), an element of A[1]; zero for uncurved algebras."""
         return self.b.apply(())
@@ -124,53 +115,50 @@ def impose_unit_laws(A_space: GradedSpace, unit: str, b: MultiOp) -> MultiOp:
     return out
 
 
-def _square_zero_failures(words: Iterable,
-                          coderivation: Callable[[Any], Vector],
-                          whole: Callable[[Vector], Vector],
-                          square: Callable[[Vector], Vector]
-                          ) -> Dict[str, Tuple]:
-    """The first failure of each of the two code paths of a structure
-    relation, word by word.
+def _structure_check(rep: CheckReport, words: Iterable,
+                     coderivation: Callable[[Any], Vector],
+                     whole: Callable[[Any], Vector],
+                     unit_laws: CheckReport) -> CheckReport:
+    """The structure relation of a coderivation B built from a family b,
+    through two code paths on every word w: path "b(B)" applies ``whole``,
+    the family on entire words, to B(w), and path "B^2" applies
+    ``coderivation`` to it again.
 
-    On every word w the coderivation value B(w) feeds path "b(B)", ``whole``
-    applied to it, and path "B^2", ``square`` applied to it.  The result
-    maps each failed path to its witness (w, "0", value) at the first word
-    where it is nonzero, in the order the failures occurred; the two paths
-    agree when both or neither failed.
+    The report fails on the unit laws first, then at the first word where
+    a path is nonzero, with witness (w, "0", value).  The two paths must
+    agree; a disagreement fails the report and records the first failure
+    of each path under "inconsistency" rather than hiding it.
     """
-    paths = (("b(B)", whole), ("B^2", square))
+    paths = (("b(B)", whole), ("B^2", coderivation))
     first_fail: Dict[str, Tuple] = {}
     for w in words:
         bw = coderivation(w)
         for key, path in paths:
             if key not in first_fail:
-                v = path(bw)
+                v = bw.bind(path)
                 if not v.is_zero():
                     first_fail[key] = (w, "0", v)
         if len(first_fail) == len(paths):
             break
-    return first_fail
-
-
-def check_algebra(A: AInfAlgebra, word_cap: int) -> CheckReport:
-    """Structure relation through both code paths on words up to the cap.
-
-    Path one evaluates b(B(w)); path two evaluates B(B(w)).  The report
-    records whether the two verdicts agree (they must; a disagreement is an
-    internal inconsistency, surfaced in the details rather than hidden).
-    """
-    rep = CheckReport("algebra", "b(B) = 0 and B^2 = 0", word_cap)
-    first_fail = _square_zero_failures(A.words(word_cap), A.B, A.b_whole,
-                                       A.B_vector)
     agree = ("b(B)" in first_fail) == ("B^2" in first_fail)
     rep.details["paths_agree"] = agree
-    rep.details["unit_laws"] = check_unit_laws(A).verdict
+    rep.details["unit_laws"] = unit_laws.verdict
+    if unit_laws.verdict != PASS:
+        rep.fail(("unit-laws", None, None))
     if first_fail:
         rep.fail(next(iter(first_fail.values())))
     if not agree:
         rep.verdict = FAIL
         rep.details["inconsistency"] = first_fail
     return rep
+
+
+def check_algebra(A: AInfAlgebra, word_cap: int) -> CheckReport:
+    """Structure relation b(B) = 0 and B^2 = 0 on words up to the cap,
+    plus the unit laws."""
+    return _structure_check(
+        CheckReport("algebra", "b(B) = 0 and B^2 = 0", word_cap),
+        A.words(word_cap), A.B, A.b.apply, check_unit_laws(A))
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +224,6 @@ class AInfMorphism:
         """The coalgebra morphism F = (f_.)^(x) on one word."""
         return geometric_extend(self.f, word, self.source.word_parity)
 
-    def extended_vector(self, vec: Vector) -> Vector:
-        return vec.bind(self.extended)
-
     def check_unit(self) -> CheckReport:
         rep = CheckReport("morphism-unit", "f_1(eta)=eta', f_l(...eta...)=0",
                           self.arity_cap)
@@ -259,8 +244,8 @@ def check_morphism(f: AInfMorphism, word_cap: int) -> CheckReport:
     if rep.details["unit_laws"] != PASS:
         rep.fail(("unit-laws", None, None))
     for w in f.source.words(word_cap):
-        lhs = f.target.B_vector(f.extended(w))
-        rhs = f.extended_vector(f.source.B(w))
+        lhs = f.extended(w).bind(f.target.B)
+        rhs = f.source.B(w).bind(f.extended)
         if lhs != rhs:
             rep.fail((w, rhs, lhs))
             break
@@ -276,7 +261,7 @@ def compose_morphisms(g: AInfMorphism, f: AInfMorphism,
     cap = arity_cap if arity_cap is not None else max(f.arity_cap, g.arity_cap)
     h = MultiOp(f.ring, 0, cap)
     for w in f.source.words(cap, min_len=1):
-        val = g.f.apply_vector(f.extended(w))
+        val = f.extended(w).bind(g.f.apply)
         if not val.is_zero():
             h.set(w, val)
     return AInfMorphism(f.source, g.target, h)
@@ -331,7 +316,7 @@ def invert_morphism_data(f: AInfMorphism, arity_cap: int) -> AInfMorphism:
         # solved for, contributes nothing because g has no arity-l entry yet
         residue: Dict[Word, Vector] = {}
         for w in f.source.words(ell, min_len=ell):
-            acc = g.apply_vector(f.extended(w))
+            acc = f.extended(w).bind(g.apply)
             if not acc.is_zero():
                 residue[w] = -acc
         # g_l = R_l o (f_1^{-1})^{(x)l}
@@ -361,7 +346,7 @@ def twist_algebra(A: AInfAlgebra, f: AInfMorphism, arity_cap: int) -> AInfAlgebr
     g = invert_morphism_data(f, arity_cap + 1)
     b2 = MultiOp(A.ring, 1, arity_cap)
     for w in A.words(arity_cap):
-        val = g.f.apply_vector(A.B_vector(f.extended(w)))
+        val = f.extended(w).bind(A.B).bind(g.f.apply)
         if not val.is_zero():
             b2.set(w, val)
     return AInfAlgebra(A.space, A.unit, b2)
@@ -457,31 +442,12 @@ def module_coderivation(M: ModuleLike, m, alpha: Word) -> Vector:
     return out
 
 
-def module_coderivation_vector(M: ModuleLike, vec: Vector) -> Vector:
-    return vec.bind(lambda mw: module_coderivation(M, mw[0], mw[1]))
-
-
-def module_b_whole(M: ModuleLike, vec: Vector) -> Vector:
-    return vec.bind(lambda mw: M.b_apply(mw[0], mw[1]))
-
-
 def check_module(M: ModuleLike, cap: int) -> CheckReport:
     """Structure relation b^M(B^M) = 0 and (B^M)^2 = 0, two code paths."""
-    rep = CheckReport("module", "b^M(B^M) = 0 and (B^M)^2 = 0", cap)
-    first_fail = _square_zero_failures(
+    return _structure_check(
+        CheckReport("module", "b^M(B^M) = 0 and (B^M)^2 = 0", cap),
         module_words(M, cap), lambda mw: module_coderivation(M, *mw),
-        lambda vec: module_b_whole(M, vec),
-        lambda vec: module_coderivation_vector(M, vec))
-    rep.details["paths_agree"] = (("b(B)" in first_fail)
-                                  == ("B^2" in first_fail))
-    rep.details["unit_laws"] = check_module_units(M, cap).verdict
-    if rep.details["unit_laws"] != PASS:
-        rep.fail(("unit-laws", None, None))
-    if first_fail:
-        rep.fail(next(iter(first_fail.values())))
-    if not rep.details["paths_agree"]:
-        rep.verdict = FAIL
-    return rep
+        lambda mw: M.b_apply(*mw), check_module_units(M, cap))
 
 
 def check_module_units(M: ModuleLike, cap: int) -> CheckReport:
@@ -527,9 +493,6 @@ class HomElement:
         v = self.table.get((m, tuple(aword)))
         return v if v is not None else Vector.zero(self.ring)
 
-    def apply_pairs(self, vec: Vector) -> Vector:
-        return vec.bind(lambda mw: self.apply(mw[0], mw[1]))
-
     def operator(self, m, alpha: Word) -> Vector:
         """phi (.) 1^(x) on a module-with-tail word; outputs are pairs."""
         return head_apply(self.ring, self.apply, m, alpha)
@@ -573,8 +536,9 @@ def hom_differential(phi: HomElement, cap: Optional[int] = None) -> HomElement:
     s = ring.from_int(-sign(phi.degree))
     table: Dict[Tuple[Any, Word], Vector] = {}
     for m, alpha in module_words(M, cap):
-        val = module_b_whole(N, phi.operator(m, alpha))
-        val = val + phi.apply_pairs(module_coderivation(M, m, alpha)).scaled(s)
+        val = phi.operator(m, alpha).bind(lambda mw: N.b_apply(*mw))
+        val = val + module_coderivation(M, m, alpha).bind(
+            lambda mw: phi.apply(*mw)).scaled(s)
         if not val.is_zero():
             table[(m, alpha)] = val
     return HomElement(M, N, phi.degree + 1, table, cap)
@@ -586,7 +550,7 @@ def compose_hom(psi: HomElement, phi: HomElement,
     cap = min(psi.cap, phi.cap) if cap is None else cap
     table: Dict[Tuple[Any, Word], Vector] = {}
     for m, alpha in module_words(phi.source, cap):
-        val = psi.apply_pairs(phi.operator(m, alpha))
+        val = phi.operator(m, alpha).bind(lambda mw: psi.apply(*mw))
         if not val.is_zero():
             table[(m, alpha)] = val
     return HomElement(phi.source, psi.target, psi.degree + phi.degree,
@@ -666,44 +630,26 @@ def bimodule_coderivation(V: BimoduleLike, alpha: Word, v, alpha2: Word) -> Vect
     out = Vector.zero(ring)
     for w2, c in sandwich(V.left.b, alpha, V.left.letter_parity).terms.items():
         out.add_term((w2, v, alpha2), c)
+    par = 0
     for i in range(len(alpha) + 1):
-        pre = V.left.word_parity(alpha[:i])
-        s = ring.from_int(sign(pre))
         for j in range(len(alpha2) + 1):
             mid = V.b_apply(alpha[i:], v, alpha2[:j])
             for v2, c in mid.terms.items():
-                out.add_term((alpha[:i], v2, alpha2[j:]), ring.mul(s, c))
-    pre = (V.left.word_parity(alpha) + V.v_parity(v)) % 2
-    s = ring.from_int(sign(pre))
+                out.add_term((alpha[:i], v2, alpha2[j:]),
+                             ring.neg(c) if par else c)
+        if i < len(alpha):
+            par = (par + V.left.letter_parity(alpha[i])) % 2
+    s = ring.from_int(sign(par + V.v_parity(v)))
     for w2, c in sandwich(V.right.b, alpha2, V.right.letter_parity).terms.items():
         out.add_term((alpha, v, w2), ring.mul(s, c))
     return out
 
 
-def bimodule_coderivation_vector(V: BimoduleLike, vec: Vector) -> Vector:
-    return vec.bind(lambda w: bimodule_coderivation(V, w[0], w[1], w[2]))
-
-
-def bimodule_b_whole(V: BimoduleLike, vec: Vector) -> Vector:
-    return vec.bind(lambda w: V.b_apply(w[0], w[1], w[2]))
-
-
 def check_bimodule(V: BimoduleLike, cap: int) -> CheckReport:
-    rep = CheckReport("bimodule", "b^V(B^V) = 0 and (B^V)^2 = 0", cap)
-    first_fail = _square_zero_failures(
+    return _structure_check(
+        CheckReport("bimodule", "b^V(B^V) = 0 and (B^V)^2 = 0", cap),
         bimodule_words(V, cap), lambda w: bimodule_coderivation(V, *w),
-        lambda vec: bimodule_b_whole(V, vec),
-        lambda vec: bimodule_coderivation_vector(V, vec))
-    rep.details["paths_agree"] = (("b(B)" in first_fail)
-                                  == ("B^2" in first_fail))
-    rep.details["unit_laws"] = check_bimodule_units(V, cap).verdict
-    if rep.details["unit_laws"] != PASS:
-        rep.fail(("unit-laws", None, None))
-    if first_fail:
-        rep.fail(next(iter(first_fail.values())))
-    if not rep.details["paths_agree"]:
-        rep.verdict = FAIL
-    return rep
+        lambda w: V.b_apply(*w), check_bimodule_units(V, cap))
 
 
 def check_bimodule_units(V: BimoduleLike, cap: int) -> CheckReport:

@@ -145,9 +145,10 @@ def _letter_family(ring: Ring, entries: Any, source: GradedSpace,
 
 def _module_table(ring: Ring, entries: Any, algebra: AInfAlgebra,
                   source: GradedSpace, target: GradedSpace, degree: int,
-                  owner: str) -> Dict[Tuple[str, Word], Vector]:
+                  cap: int, owner: str) -> Dict[Tuple[str, Word], Vector]:
     """A degree-``degree`` (generator, algebra word) -> vector table from
-    the space source to the space target."""
+    the space source to the space target, on words of at most ``cap``
+    algebra letters."""
     table: Dict[Tuple[str, Word], Vector] = {}
     for ent in entries:
         m = str(ent["m"])
@@ -155,6 +156,9 @@ def _module_table(ring: Ring, entries: Any, algebra: AInfAlgebra,
             raise ValidationError("%s: unknown module generator %r" %
                                   (owner, m))
         w = _word_in(algebra.space, ent.get("word"), owner)
+        if len(w) > cap:
+            raise ValidationError("%s: entry word %r has %d letters, beyond "
+                                  "cap %d" % (owner, w, len(w), cap))
         table[(m, w)] = _output(
             ring, target, ent["out"],
             source.degree(m) + algebra.word_degree(w) + degree, owner)
@@ -233,7 +237,7 @@ def _load_module(doc: SpecDocument, name: str, raw: dict) -> AInfModule:
     space = _need(doc.spaces, raw["space"], "space", owner)
     cap = _cap("arity_cap", raw.get("arity_cap", doc.caps["arity"]))
     table = _module_table(doc.ring, raw.get("table", []), algebra, space,
-                          space, 1, owner)
+                          space, 1, cap, owner)
     return AInfModule(algebra, space, table, cap)
 
 
@@ -297,7 +301,7 @@ def _load_hom_element(doc: SpecDocument, name: str, raw: dict) -> HomElement:
     cap = _cap("cap", raw.get("cap", doc.caps["weight"]))
     degree = exact_integer(raw.get("degree", 0))
     table = _module_table(doc.ring, raw.get("table", []), source.algebra,
-                          source.space, target.space, degree, owner)
+                          source.space, target.space, degree, cap, owner)
     return HomElement(source, target, degree, table, cap)
 
 

@@ -226,9 +226,6 @@ class MultiOp:
     def __call__(self, word: Word) -> Vector:
         return self.apply(word)
 
-    def apply_vector(self, vec: Vector) -> Vector:
-        return vec.bind(lambda w: self.apply(w))
-
     def arities(self) -> List[int]:
         return sorted({len(w) for w in self.table})
 

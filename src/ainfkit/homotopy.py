@@ -194,7 +194,7 @@ def check_ainf_homotopy(f: AInfMorphism, g: AInfMorphism, h: MultiOp,
     I = IntervalCoalgebra(f.ring)
     s = f.ring.from_int(sign(I.parity("I")))
     for w in f.source.words(cap):
-        lhs = f.target.B_vector(H.extended(w))
+        lhs = H.extended(w).bind(f.target.B)
         rhs = I.boundary("I").bind(lambda gen2: H.assembled(gen2, w))
         rhs = rhs + f.source.B(w).bind(H.extended).scaled(s)
         if lhs != rhs:
@@ -308,12 +308,10 @@ class UeContraction:
             return Vector.zero(self.ring)
         return vec.bind(on)
 
-    def d_op(self, vec) -> Vector:
-        return self.U.ue_differential(vec)
-
     def e_op(self, vec) -> Vector:
         """1 - dH - Hd."""
-        return vec - self.d_op(self.h_op(vec)) - self.h_op(self.d_op(vec))
+        d = self.U.ue_differential
+        return vec - d(self.h_op(vec)) - self.h_op(d(vec))
 
     def in_base(self, vec: Vector) -> bool:
         """Supported on the image of the base: the empty word and single
@@ -366,7 +364,7 @@ def ue_contraction(A: AInfAlgebra,
         index = {u: i for i, u in enumerate(words)}
         rows = [[R.zero] * len(words) for _ in words]
         for j, u in enumerate(words):
-            for u2, c in C.d_op(Vector.basis(R, u)).terms.items():
+            for u2, c in U.ue_differential(u).terms.items():
                 rows[index[u2]][j] = c
         kb = kernel_basis_field(R, rows)
         rep.details["closed_rank"] = len(kb)
@@ -375,8 +373,9 @@ def ue_contraction(A: AInfAlgebra,
             for j, c in enumerate(sol):
                 u.add_term(words[j], c)
             ell, a, hhat = C.reduce(u)
-            if u - a != C.d_op(hhat):
-                rep.fail(((u, "certificate", ell), u - a, C.d_op(hhat)))
+            if u - a != U.ue_differential(hhat):
+                rep.fail(((u, "certificate", ell), u - a,
+                          U.ue_differential(hhat)))
                 break
     return C, rep
 

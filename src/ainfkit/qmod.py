@@ -118,16 +118,13 @@ class TensorModule(ModuleLike):
         if not beta:
             for (m2, a2), c in module_coderivation(self.M, m, alpha).terms.items():
                 out.add_term((m2, a2, v), c)
-        pm = self.M.m_parity(m)
+        par = self.M.m_parity(m)
         for i in range(len(alpha) + 1):
-            s = R.from_int(sign((pm + self.M.algebra.word_parity(alpha[:i])) % 2))
             for v2, c in self.V.b_apply(alpha[i:], v, beta).terms.items():
-                out.add_term((m, alpha[:i], v2), R.mul(s, c))
+                out.add_term((m, alpha[:i], v2), R.neg(c) if par else c)
+            if i < len(alpha):
+                par = (par + self.M.algebra.letter_parity(alpha[i])) % 2
         return out
-
-
-def infinity_tensor(M: ModuleLike, V: BimoduleLike) -> TensorModule:
-    return TensorModule(M, V)
 
 
 def tensor_hom(QM: TensorModule, QN: TensorModule, phi: HomElement,
@@ -146,11 +143,6 @@ def tensor_hom(QM: TensorModule, QN: TensorModule, phi: HomElement,
 
 def q_module(M: AInfModule) -> TensorModule:
     return TensorModule(M, UeBimodule(M.algebra))
-
-
-def q_differential(Q: TensorModule, vec: Vector) -> Vector:
-    """The arity-one part of the structure: the dg-module differential."""
-    return vec.bind(lambda t: Q.b_apply(t, ()))
 
 
 def q_action(Q: TensorModule, vec: Vector, chi: UWord) -> Vector:
@@ -376,8 +368,7 @@ def check_adjunction_transport(Q: TensorModule, N: AInfModule,
     s = R.from_int(-sign(phi.degree % 2))
     for t, wt in Q.basis(cap):
         lhs = gd(t)
-        rhs = EN.d(g(t)) \
-            + q_differential(Q, Vector.basis(R, t)).bind(g).scaled(s)
+        rhs = EN.d(g(t)) + Q.b_apply(t, ()).bind(g).scaled(s)
         if lhs != rhs:
             rep.fail((t, rhs, lhs))
             break

@@ -135,6 +135,8 @@ class AugmentationMap:
         self.ring = A.ring
         self.values: Dict[str, Any] = {}
         for x, c in values.items():
+            if x not in A.space.gens:
+                raise ValueError("unknown generator %r" % x)
             c = self.ring.normalize(c)
             if self.ring.is_zero(c):
                 continue
@@ -499,6 +501,9 @@ class MatrixFactorization:
 
     def __init__(self, ring: Ring, even_rank: int, odd_rank: int,
                  d: Sequence[Sequence[Any]], potential: Any):
+        if even_rank < 0 or odd_rank < 0:
+            raise ValueError("ranks must be 0 or more, got %d and %d"
+                             % (even_rank, odd_rank))
         n = even_rank + odd_rank
         if len(d) != n or any(len(row) != n for row in d):
             raise ValueError("d must be a %d x %d matrix" % (n, n))

@@ -48,9 +48,9 @@ def test_01_structure_relation_agrees_between_both_code_paths():
     for seed in range(100):
         rng = random.Random(seed)
         A = random_unital_table(F7, 2 + seed % 2, 3, rng)
-        path_letterwise = all(A.b_whole(A.B(w)).is_zero()
+        path_letterwise = all(A.B(w).bind(A.b.apply).is_zero()
                               for w in A.words(4))
-        path_coderivation = all(A.B_vector(A.B(w)).is_zero()
+        path_coderivation = all(A.B(w).bind(A.B).is_zero()
                                 for w in A.words(4))
         assert path_letterwise == path_coderivation, seed
         verdicts.add(path_letterwise)

@@ -6,19 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ainfkit.ainf import (AInfAlgebra, AInfModule, AInfMorphism, MultiOp,
-                          b_from_m, check_algebra, check_bimodule,
-                          check_module, check_module_morphism, check_morphism,
+                          _structure_check, b_from_m, check_algebra,
+                          check_bimodule, check_module,
+                          check_module_morphism, check_morphism,
                           check_unit_laws, compose_morphisms,
                           curved_dga_axioms, hom_differential, identity_hom,
                           identity_morphism, invert_morphism_data, m_from_b,
-                          module_coderivation, module_coderivation_vector,
-                          twist_algebra)
+                          module_coderivation, twist_algebra)
 from ainfkit.fixtures import (diagonal_bimodule, dga_rank2, dga_two_odd,
                               module_pqab, random_hom_perturbation,
                               random_unital_table, random_unital_twist_data,
                               trivial_algebra, twisted_dga,
                               twisted_identity_morphism)
 from ainfkit.graded import GradedSpace, Grading, Vector
+from ainfkit.report import CheckReport
 from ainfkit.rings import Integers, IntegersMod, Rationals
 
 F7 = IntegersMod(7)
@@ -31,6 +32,28 @@ def test_trivial_algebra_curved_is_valid():
     assert check_unit_laws(A).passed
     assert check_algebra(A, 4).passed
     assert not A.curvature_letterwise().is_zero()
+
+
+def test_algebra_checker_fails_on_unit_laws():
+    # the zero family satisfies B^2 = 0 but not the unit laws
+    space = GradedSpace(F7, Grading(2), [("e", 0), ("u", 1)])
+    rep = check_algebra(AInfAlgebra(space, "e", MultiOp(F7, 1, 2)), 3)
+    assert not rep.passed
+    assert rep.witness == ("unit-laws", None, None)
+    assert rep.details["unit_laws"] == "FAIL"
+    assert rep.details["paths_agree"]
+
+
+def test_structure_check_records_disagreeing_paths():
+    # B is the identity, so B^2 never vanishes, while the whole-word
+    # family is zero: the two paths disagree on the first word
+    rep = _structure_check(CheckReport("t", "t", 1), [("a",)],
+                           lambda w: Vector.basis(F7, w),
+                           lambda w: Vector.zero(F7),
+                           CheckReport("units", "units", 1))
+    assert not rep.passed
+    assert rep.details["paths_agree"] is False
+    assert set(rep.details["inconsistency"]) == {"B^2"}
 
 
 @settings(max_examples=30, deadline=None)
@@ -164,8 +187,8 @@ def test_module_coderivation_squares_to_zero():
     D, M = module_pqab(F7, 2, 3, 1, 5)
     for m in M.space.names:
         for alpha in M.algebra.words(3):
-            out = module_coderivation_vector(
-                M, module_coderivation(M, m, alpha))
+            out = module_coderivation(M, m, alpha).bind(
+                lambda mw: module_coderivation(M, *mw))
             assert out.is_zero(), (m, alpha)
 
 

@@ -415,6 +415,7 @@ CURVED = (DOC_CURVED, "check-algebra")
 HOMOTOPY = (DOC_HOMOTOPY, "homotopy-check")
 INVERSION = (DOC_BIMODULE, "invert-homotopy")
 GAMMA = (DOC_GAMMA, "kp-vanish")
+MF = (DOC_MF, "mf-check")
 
 
 @pytest.mark.parametrize("base, mutate, entity", [
@@ -466,6 +467,18 @@ GAMMA = (DOC_GAMMA, "kp-vanish")
      "augmentation 'l': l(m_0(1)) = 6, not 1"),
     (INVERSION, _hom_across_algebras,
      "hom element 'mn': modules 'M' and 'N' lie over different algebras"),
+    (MF, _set(("factorizations", "F"),
+              dict(DOC_MF["factorizations"]["F"], even_rank=-1, odd_rank=3)),
+     "factorization 'F': ranks must be 0 or more"),
+    (GAMMA, _set(("augmentations", "l", "values"), {"e": "6", "zz": "0"}),
+     "augmentation 'l': unknown generator 'zz'"),
+    (CURVED, _set(("modules", "M", "arity_cap"), 0),
+     "module 'M': entry word ('e',) has 1 letters, beyond cap 0"),
+    (INVERSION, _set(("hom_elements", "zeroh"),
+                     {"source": "M", "target": "M", "degree": -1, "cap": 0,
+                      "table": [{"m": "x", "word": ["e"],
+                                 "out": [["x", "1"]]}]}),
+     "hom element 'zeroh': entry word ('e',) has 1 letters, beyond cap 0"),
 ], ids=["coefficient-abc", "missing-space", "degree-x", "float-coefficient",
         "bool-coefficient", "float-arity-cap", "grading-not-an-object",
         "algebras-a-list", "spaces-a-list", "ring-an-integer",
@@ -477,7 +490,9 @@ GAMMA = (DOC_GAMMA, "kp-vanish")
         "homotopy-output-degree", "homotopy-arity-0", "homotopy-ends-differ",
         "hom-element-degree", "hom-element-negative-cap",
         "inversion-psi-wrong-way", "augmentation-unit-unchecked",
-        "hom-element-across-algebras"])
+        "hom-element-across-algebras", "negative-factorization-rank",
+        "augmentation-unknown-generator", "module-entry-beyond-cap",
+        "hom-element-entry-beyond-cap"])
 def test_malformed_document_exits_2_naming_the_entity(write, base, mutate,
                                                       entity):
     doc, command = base

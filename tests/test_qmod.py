@@ -13,14 +13,14 @@ from ainfkit.fixtures import (dga_rank2, module_pqab, random_hom_perturbation,
                               trivial_algebra, twisted_dga,
                               twisted_identity_morphism)
 from ainfkit.graded import Vector
-from ainfkit.qmod import (FreeUeModule, UeBimodule, check_adjunction_transport,
-                          check_epsilon_closed, check_free_module,
-                          check_lambda_closed, check_q_homotopy,
-                          check_restriction_square, check_triangle,
-                          check_ue_functor, epsilon_operator, extend_scalars,
-                          free_differential, h_operator, hom_to_dg,
-                          infinity_tensor, lambda_operator, q_action,
-                          q_as_ue, q_module, restrict_hom, restrict_scalars,
+from ainfkit.qmod import (FreeUeModule, TensorModule, UeBimodule,
+                          check_adjunction_transport, check_epsilon_closed,
+                          check_free_module, check_lambda_closed,
+                          check_q_homotopy, check_restriction_square,
+                          check_triangle, check_ue_functor, epsilon_operator,
+                          extend_scalars, free_differential, h_operator,
+                          hom_to_dg, lambda_operator, q_action, q_as_ue,
+                          q_module, restrict_hom, restrict_scalars,
                           tensor_hom, ue_functor)
 from ainfkit.rings import IntegersMod
 
@@ -109,7 +109,7 @@ def test_q_module_dg_reading_agrees():
 def test_tensor_against_diagonal_bimodule():
     from ainfkit.fixtures import diagonal_bimodule
     D, M = _pq()
-    assert check_module(infinity_tensor(M, diagonal_bimodule(D)), 3).passed
+    assert check_module(TensorModule(M, diagonal_bimodule(D)), 3).passed
 
 
 def test_tensor_hom_identity():
