@@ -381,6 +381,20 @@ class ModuleLike:
         raise NotImplementedError
 
 
+def _module_entries(table: Dict[Tuple[Any, Word], Vector],
+                    cap: int) -> Dict[Tuple[Any, Word], Vector]:
+    """The nonzero entries of a (generator, word) -> vector table whose
+    words have at most ``cap`` letters, as ``MultiOp.set`` asks of arities."""
+    out: Dict[Tuple[Any, Word], Vector] = {}
+    for (m, w), v in table.items():
+        if len(w) > cap:
+            raise ValueError("entry word %r has %d letters, beyond cap %d"
+                             % (tuple(w), len(w), cap))
+        if not v.is_zero():
+            out[(m, tuple(w))] = v
+    return out
+
+
 class AInfModule(ModuleLike):
     """A table-backed strictly unital module.
 
@@ -395,10 +409,7 @@ class AInfModule(ModuleLike):
         self.space = space
         self.ring = algebra.ring
         self.arity_cap = arity_cap
-        self.table: Dict[Tuple[str, Word], Vector] = {}
-        for key, v in table.items():
-            if not v.is_zero():
-                self.table[(key[0], tuple(key[1]))] = v
+        self.table = _module_entries(table, arity_cap)
 
     def m_parity(self, m) -> int:
         return self.space.parity(m)
@@ -484,10 +495,7 @@ class HomElement:
         self.degree = degree
         self.cap = cap  # letter count up to which the table is meaningful
         self.ring = source.ring
-        self.table: Dict[Tuple[Any, Word], Vector] = {}
-        for key, v in table.items():
-            if not v.is_zero():
-                self.table[(key[0], tuple(key[1]))] = v
+        self.table = _module_entries(table, cap)
 
     def apply(self, m, aword: Word) -> Vector:
         v = self.table.get((m, tuple(aword)))

@@ -4,6 +4,9 @@ Every command loads one JSON document, builds the structures it declares,
 runs the matching checkers, and prints one report per target.  Reports are
 emitted in a fixed order and without timing fields, so identical input and
 flags produce byte-identical output regardless of the --jobs setting.
+``--jobs N`` runs the targets in up to min(N, CPU count, targets) spawned
+worker processes, each loading the document once; a script that calls
+``main`` with ``--jobs`` > 1 needs an ``if __name__ == "__main__":`` guard.
 
 Exit codes: 0 when every report passes, 1 when any report fails, 2 for
 usage, parse, or validation errors, and 3 when --strict is set and an
@@ -16,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import Callable, List, Optional, Tuple
 
@@ -246,14 +248,34 @@ def build_tasks(command: str, doc: SpecDocument, cap: int) -> List[Task]:
     return tasks
 
 
-def run_tasks(tasks: List[Task], jobs: int) -> List[Tuple[str, CheckReport]]:
-    """Execute the tasks, possibly in parallel; the output order is the
-    submission order regardless of completion order."""
-    if jobs <= 1 or len(tasks) <= 1:
+# A worker process's tasks, built once by _load_worker; a task is its index.
+_WORKER_TASKS: List[Task] = []
+
+
+def _load_worker(command: str, path: str, cap: int) -> None:
+    _WORKER_TASKS[:] = build_tasks(command, load(path), cap)
+
+
+def _run_worker_task(index: int) -> CheckReport:
+    return _WORKER_TASKS[index][1]()
+
+
+def run_tasks(tasks: List[Task], jobs: int,
+              source: Tuple[str, str, int]) -> List[Tuple[str, CheckReport]]:
+    """Run the tasks built from ``source`` = (command, path, cap), keeping
+    their order.  With ``jobs`` above 1, up to min(jobs, CPU count, tasks)
+    spawned workers each load the document once; the reports are the same,
+    and a calling script needs an ``if __name__ == "__main__":`` guard."""
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers <= 1:
         return [(label, fn()) for label, fn in tasks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [(label, pool.submit(fn)) for label, fn in tasks]
-        return [(label, fut.result()) for label, fut in futures]
+    # imported here, so that importing cli (and its peak memory) stays small
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("spawn"),
+                             _load_worker, source) as pool:
+        reports = list(pool.map(_run_worker_task, range(len(tasks))))
+    return [(label, rep) for (label, _), rep in zip(tasks, reports)]
 
 
 def render(results: List[Tuple[str, CheckReport]], fmt: str) -> str:
@@ -280,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="weight/arity cap (default: AINF_DEFAULT_CAP, the "
                         "document's caps, or 4)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers; the output is identical for "
+                   help="worker processes; the output is identical for "
                         "every setting")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--strict", action="store_true",
@@ -317,7 +339,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         doc = load(args.path)
         cap = resolve_cap(args, doc)
         tasks = build_tasks(args.command, doc, cap)
-        results = run_tasks(tasks, args.jobs)
+        results = run_tasks(tasks, args.jobs, (args.command, args.path, cap))
     except (ParseError, ValidationError, FileNotFoundError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -145,10 +145,10 @@ def _letter_family(ring: Ring, entries: Any, source: GradedSpace,
 
 def _module_table(ring: Ring, entries: Any, algebra: AInfAlgebra,
                   source: GradedSpace, target: GradedSpace, degree: int,
-                  cap: int, owner: str) -> Dict[Tuple[str, Word], Vector]:
+                  owner: str) -> Dict[Tuple[str, Word], Vector]:
     """A degree-``degree`` (generator, algebra word) -> vector table from
-    the space source to the space target, on words of at most ``cap``
-    algebra letters."""
+    the space source to the space target; the constructor that takes it
+    refuses words beyond its cap."""
     table: Dict[Tuple[str, Word], Vector] = {}
     for ent in entries:
         m = str(ent["m"])
@@ -156,9 +156,6 @@ def _module_table(ring: Ring, entries: Any, algebra: AInfAlgebra,
             raise ValidationError("%s: unknown module generator %r" %
                                   (owner, m))
         w = _word_in(algebra.space, ent.get("word"), owner)
-        if len(w) > cap:
-            raise ValidationError("%s: entry word %r has %d letters, beyond "
-                                  "cap %d" % (owner, w, len(w), cap))
         table[(m, w)] = _output(
             ring, target, ent["out"],
             source.degree(m) + algebra.word_degree(w) + degree, owner)
@@ -237,7 +234,7 @@ def _load_module(doc: SpecDocument, name: str, raw: dict) -> AInfModule:
     space = _need(doc.spaces, raw["space"], "space", owner)
     cap = _cap("arity_cap", raw.get("arity_cap", doc.caps["arity"]))
     table = _module_table(doc.ring, raw.get("table", []), algebra, space,
-                          space, 1, cap, owner)
+                          space, 1, owner)
     return AInfModule(algebra, space, table, cap)
 
 
@@ -280,14 +277,10 @@ def _load_bimodule(doc: SpecDocument, name: str, raw: dict) -> TableBimodule:
 
 
 def _load_mf(doc: SpecDocument, name: str, raw: dict) -> MatrixFactorization:
-    owner = "factorization %r" % name
     even, odd = exact_integer(raw["even_rank"]), exact_integer(raw["odd_rank"])
     d = [[parse_coeff(doc.ring, v) for v in row] for row in raw["d"]]
     pot = parse_coeff(doc.ring, raw["potential"])
-    try:
-        return MatrixFactorization(doc.ring, even, odd, d, pot)
-    except ValueError as exc:
-        raise ValidationError("%s: %s" % (owner, exc))
+    return MatrixFactorization(doc.ring, even, odd, d, pot)
 
 
 def _load_hom_element(doc: SpecDocument, name: str, raw: dict) -> HomElement:
@@ -301,7 +294,7 @@ def _load_hom_element(doc: SpecDocument, name: str, raw: dict) -> HomElement:
     cap = _cap("cap", raw.get("cap", doc.caps["weight"]))
     degree = exact_integer(raw.get("degree", 0))
     table = _module_table(doc.ring, raw.get("table", []), source.algebra,
-                          source.space, target.space, degree, cap, owner)
+                          source.space, target.space, degree, owner)
     return HomElement(source, target, degree, table, cap)
 
 
@@ -311,11 +304,7 @@ def _load_augmentation(doc: SpecDocument, name: str,
     algebra = _resolve_algebra(doc, raw["algebra"], owner)
     values = {str(k): parse_coeff(doc.ring, v)
               for k, v in (raw.get("values") or {}).items()}
-    try:
-        aug = AugmentationMap(algebra, values)
-    except ValueError as exc:
-        raise ValidationError("%s: %s" % (owner, exc))
-    return raw["algebra"], aug
+    return raw["algebra"], AugmentationMap(algebra, values)
 
 
 def _load_base_change(raw: dict) -> RingHom:

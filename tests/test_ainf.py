@@ -2,11 +2,12 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ainfkit.ainf import (AInfAlgebra, AInfModule, AInfMorphism, MultiOp,
-                          _structure_check, b_from_m, check_algebra,
+from ainfkit.ainf import (AInfAlgebra, AInfModule, AInfMorphism, HomElement,
+                          MultiOp, _structure_check, b_from_m, check_algebra,
                           check_bimodule, check_module,
                           check_module_morphism, check_morphism,
                           check_unit_laws, compose_morphisms,
@@ -181,6 +182,18 @@ def test_module_checker_catches_broken_action():
     rep = check_module(M, 3)
     assert not rep.passed
     assert rep.details["paths_agree"]
+
+
+def test_constructors_refuse_entries_beyond_their_cap():
+    # module_pqab's action entries carry one algebra letter: fine at cap 1,
+    # refused at cap 0 (as MultiOp.set refuses an arity beyond its cap)
+    D, M = module_pqab(F7, 1, 2, 3, 4)
+    assert AInfModule(M.algebra, M.space, M.table, 1).table == M.table
+    beyond = r"entry word \('[eu]',\) has 1 letters, beyond cap 0"
+    with pytest.raises(ValueError, match=beyond):
+        AInfModule(M.algebra, M.space, M.table, 0)
+    with pytest.raises(ValueError, match=beyond):
+        HomElement(M, M, 1, M.table, 0)
 
 
 def test_module_coderivation_squares_to_zero():

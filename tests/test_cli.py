@@ -345,6 +345,82 @@ def test_json_output_is_byte_identical_across_jobs(write, capsys):
     assert "seconds" not in json.dumps(payload)
 
 
+def _package_env():
+    return dict(os.environ,
+                PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+
+
+def _three_modules():
+    doc = copy.deepcopy(DOC_CURVED)
+    for name in ("N", "P"):
+        doc["modules"][name] = copy.deepcopy(doc["modules"]["M"])
+    return doc
+
+
+def test_process_pool_output_matches_jobs_1_through_main(write):
+    # the spawn path of `python -m ainfkit.cli`; --cap 3 differs from the
+    # document's weight cap, so a worker must build its tasks at the
+    # resolved cap
+    path = write(_three_modules())
+    runs = [subprocess.run(
+        [sys.executable, "-m", "ainfkit.cli", "check-q-homotopy", path,
+         "--cap", "3", "--jobs", jobs],
+        capture_output=True, text=True, env=_package_env(), timeout=120)
+        for jobs in ("2", "1")]
+    assert runs[0].stderr == "" and runs[0].stdout.count("cap=3") == 3
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].returncode == runs[1].returncode == 0
+
+
+def _pool_spy(monkeypatch, refuse=False):
+    from concurrent.futures import process
+    made = []
+
+    class Spy(process.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            if refuse:
+                raise AssertionError("no pool should be created")
+            made.append(self)
+            super().__init__(*args, **kwargs)
+    monkeypatch.setattr(process, "ProcessPoolExecutor", Spy)
+    return made
+
+
+def test_process_pool_workers_end_with_main(write, capsys, monkeypatch):
+    import multiprocessing
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    made = _pool_spy(monkeypatch)
+    path = write(_three_modules())
+    code, out = run(capsys, "check-q-homotopy", path, "--cap", "3",
+                    "--jobs", "2")
+    assert code == 0 and out.count("[PASS]") == 3
+    assert len(made) == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_no_pool_for_one_cpu_or_one_task(write, capsys, monkeypatch):
+    _pool_spy(monkeypatch, refuse=True)
+    path = write(_three_modules())
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    code, out = run(capsys, "check-q-homotopy", path, "--cap", "3",
+                    "--jobs", "4")
+    assert code == 0 and out.count("[PASS]") == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    code, out = run(capsys, "check-q-homotopy", write(DOC_CURVED), "--cap",
+                    "3", "--jobs", "4")
+    assert code == 0 and out.count("[PASS]") == 1
+
+
+def test_importing_cli_loads_no_process_machinery():
+    probe = ("import sys, ainfkit.cli; print(sorted(m for m in "
+             "('multiprocessing', 'concurrent.futures.process') "
+             "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=_package_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_cap_resolution(write, capsys, monkeypatch):
     path = write(DOC_CURVED)
     monkeypatch.setenv("AINF_DEFAULT_CAP", "3")
@@ -498,11 +574,9 @@ def test_malformed_document_exits_2_naming_the_entity(write, base, mutate,
     doc, command = base
     doc = copy.deepcopy(doc)
     mutate(doc)
-    env = dict(os.environ,
-               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     proc = subprocess.run(
         [sys.executable, "-m", "ainfkit.cli", command, write(doc)],
-        capture_output=True, text=True, env=env, timeout=60)
+        capture_output=True, text=True, env=_package_env(), timeout=60)
     assert proc.returncode == 2, proc.stderr
     assert entity in proc.stderr
     assert "Traceback" not in proc.stderr and proc.stdout == ""
