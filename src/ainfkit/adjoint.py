@@ -89,9 +89,6 @@ class UAlgebra:
 
     # -- algebra operations -------------------------------------------------
 
-    def mul(self, u: Vector, v: Vector) -> Vector:
-        return u.concat(v)
-
     def curvature(self) -> Vector:
         """c = -omega(b_0(1)) as a vector of one-letter uwords."""
         out = Vector.zero(self.ring)
@@ -115,10 +112,8 @@ class UAlgebra:
             out.add_term((lt,), R.from_int(-sign(self.base.word_parity(lt))))
         return out
 
-    def differential(self, u) -> Vector:
+    def differential(self, u: UWord) -> Vector:
         """Derivation extension of the letter-wise map to uwords."""
-        if isinstance(u, Vector):
-            return u.bind(self.differential)
         zero = Vector(self.ring)
         return insert_blocks(
             self.ring, u, self.letter_parity, True, 1,
@@ -126,12 +121,10 @@ class UAlgebra:
 
     # -- the unital quotient ------------------------------------------------
 
-    def normal_form(self, u) -> Vector:
+    def normal_form(self, u: UWord) -> Vector:
         """Canonical representative modulo the unit ideal: letters with eta
         inside a longer word die, the letter omega[eta] is deleted (it is
         even, so deletion carries no sign)."""
-        if isinstance(u, Vector):
-            return u.bind(self.normal_form)
         eta = self.base.eta
         kept: List[Letter] = []
         for lt in u:
@@ -142,8 +135,9 @@ class UAlgebra:
             kept.append(lt)
         return Vector.basis(self.ring, tuple(kept))
 
-    def ue_differential(self, u) -> Vector:
-        return self.normal_form(self.differential(self.normal_form(u)))
+    def ue_differential(self, u: UWord) -> Vector:
+        return self.normal_form(u).bind(self.differential).bind(
+            self.normal_form)
 
 
 def check_u_curvature(U: UAlgebra, cap: int,
@@ -158,16 +152,16 @@ def check_u_curvature(U: UAlgebra, cap: int,
     c = U.curvature()
     for u in U.uwords(cap):
         uvec = Vector.basis(U.ring, u)
-        lhs = U.differential(U.differential(uvec))
-        rhs = U.mul(c, uvec) - U.mul(uvec, c)
+        lhs = U.differential(u).bind(U.differential)
+        rhs = c.concat(uvec) - uvec.concat(c)
         if lhs != rhs:
             rep.fail((u, rhs, lhs))
             break
     else:
         for u in U.uwords(cap, eta_free=True):
             uvec = Vector.basis(U.ring, u)
-            lhs = U.ue_differential(U.ue_differential(uvec))
-            rhs = U.normal_form(U.mul(c, uvec) - U.mul(uvec, c))
+            lhs = U.ue_differential(u).bind(U.ue_differential)
+            rhs = (c.concat(uvec) - uvec.concat(c)).bind(U.normal_form)
             if lhs != rhs:
                 rep.fail((("quotient", u), rhs, lhs))
                 break
@@ -182,13 +176,13 @@ def check_ideal_stability(U: UAlgebra, cap: int) -> CheckReport:
                       cap)
     eta = U.base.eta
     # d(1 - omega[eta]) = -d(omega[eta])
-    got = U.normal_form(U.differential(((eta,),)))
+    got = U.differential(((eta,),)).bind(U.normal_form)
     if not got.is_zero():
         rep.fail(((eta,), "0", got))
     for lt in U.letters(cap):
         if eta not in lt or lt == (eta,):
             continue
-        got = U.normal_form(U.differential((lt,)))
+        got = U.differential((lt,)).bind(U.normal_form)
         if not got.is_zero():
             rep.fail((lt, "0", got))
             break
@@ -208,7 +202,7 @@ def ue_b(U: UAlgebra, word: Tuple[UWord, ...]) -> Vector:
     shifted uwords: the arity 0/1/2 dictionary of any classical algebra."""
     R = U.ring
     if len(word) == 0:
-        return U.normal_form(U.curvature()).scaled(R.from_int(-1))
+        return U.curvature().bind(U.normal_form).scaled(R.from_int(-1))
     if len(word) == 1:
         return U.ue_differential(word[0]).scaled(R.from_int(-1))
     if len(word) == 2:
@@ -278,12 +272,7 @@ class UeModule:
     def act_letter(self, vec: Vector, lt: Letter) -> Vector:
         return vec.bind(lambda m: self._act(m, lt))
 
-    def act(self, vec: Vector, u) -> Vector:
-        if isinstance(u, Vector):
-            out = Vector.zero(self.ring)
-            for uw, c in u.terms.items():
-                out.add_vector(self.act(vec, uw), c)
-            return out
+    def act(self, vec: Vector, u: UWord) -> Vector:
         for lt in u:
             vec = self.act_letter(vec, lt)
         return vec
@@ -340,7 +329,7 @@ def dg_module_axioms(E: UeModule, cap: int) -> CheckReport:
             rep.fail(((m, "unit"), mv, E.act(mv, ((eta,),))))
             break
         lhs = E.d(E.d(mv))
-        rhs = E.act(mv, c).scaled(R.from_int(-1))
+        rhs = c.bind(lambda u: E.act(mv, u)).scaled(R.from_int(-1))
         if lhs != rhs:
             rep.fail(((m, "d^2"), rhs, lhs))
             break
@@ -353,8 +342,8 @@ def dg_module_axioms(E: UeModule, cap: int) -> CheckReport:
                     break
                 continue
             lhs = E.d(E.act(mv, (lt,)))
-            rhs = E.act(E.d(mv), (lt,)) \
-                + E.act(mv, U.ue_differential((lt,))).scaled(sm)
+            rhs = E.act(E.d(mv), (lt,)) + U.ue_differential((lt,)).bind(
+                lambda u: E.act(mv, u)).scaled(sm)
             if lhs != rhs:
                 rep.fail(((m, lt, "leibniz"), rhs, lhs))
                 bad = True
@@ -411,7 +400,8 @@ def check_strict_morphism_transport(M: AInfModule, N: AInfModule,
 
 
 def universality_transport(f: AInfMorphism, D: CurvedDga,
-                           cap: int) -> Tuple[Callable[[Any], Vector], CheckReport]:
+                           cap: int) -> Tuple[Callable[[UWord], Vector],
+                                              CheckReport]:
     """Transport a structure morphism A -> A' (A' a curved dg-algebra) to a
     multiplicative map out of the adjoint algebra of A, and verify it is a
     map of curved dg-algebras: unital, ideal-killing, commuting with the
@@ -425,9 +415,7 @@ def universality_transport(f: AInfMorphism, D: CurvedDga,
     def on_letter(lt: Letter) -> Vector:
         return f.f.apply(lt).map_words(lambda w: w[0])
 
-    def transport(u) -> Vector:
-        if isinstance(u, Vector):
-            return u.bind(transport)
+    def transport(u: UWord) -> Vector:
         out = Vector.basis(R, D.unit)
         for lt in u:
             out = D.mul(out, on_letter(lt))
@@ -439,8 +427,9 @@ def universality_transport(f: AInfMorphism, D: CurvedDga,
     eta = U.base.eta
     if transport(((eta,),)) != Vector.basis(R, D.unit):
         rep.fail((("unit",), D.unit, transport(((eta,),))))
-    if transport(U.curvature()) != D.curvature:
-        rep.fail((("curvature",), D.curvature, transport(U.curvature())))
+    c = U.curvature().bind(transport)
+    if c != D.curvature:
+        rep.fail((("curvature",), D.curvature, c))
     for lt in U.letters(cap):
         if eta in lt and lt != (eta,):
             if not transport((lt,)).is_zero():
@@ -448,7 +437,7 @@ def universality_transport(f: AInfMorphism, D: CurvedDga,
                 break
             continue
         lhs = D.d(transport((lt,)))
-        rhs = transport(U.ue_differential((lt,)))
+        rhs = U.ue_differential((lt,)).bind(transport)
         if lhs != rhs:
             rep.fail(((lt, "d"), rhs, lhs))
             break
@@ -456,7 +445,7 @@ def universality_transport(f: AInfMorphism, D: CurvedDga,
         # factorization through the canonical inclusion: the letter value
         # on a packed word is the original component on that word
         for w in U.base.words(cap, min_len=1):
-            via = transport(U.normal_form((tuple(w),)))
+            via = U.normal_form((tuple(w),)).bind(transport)
             direct = f.f.apply(w).map_words(lambda ww: ww[0])
             if via != direct:
                 rep.fail(((w, "factorization"), direct, via))

@@ -8,7 +8,9 @@ Conventions used throughout the package:
   every sign in the package is computed from explicit degree crossings at the
   point of use, never cached;
 * a degree-shifted copy of a space keeps the generator names and lowers each
-  degree by one (sigma has degree -1, its inverse omega degree +1).
+  degree by one (sigma has degree -1, its inverse omega degree +1);
+* every operator on basis words (letters, uwords, generators, module
+  triples) is a word -> Vector map, applied to a Vector with ``Vector.bind``.
 """
 
 from __future__ import annotations
@@ -149,9 +151,6 @@ class Vector:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Vector) and self.terms == other.terms
-
-    def __iter__(self):
-        return iter(sorted(self.terms.items(), key=lambda t: repr(t[0])))
 
     def map_words(self, fn: Callable[[Any], Any]) -> "Vector":
         out = Vector(self.ring)

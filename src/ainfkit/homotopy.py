@@ -207,7 +207,7 @@ def check_ainf_homotopy(f: AInfMorphism, g: AInfMorphism, h: MultiOp,
 
 
 def homotopy_to_derivation(f: AInfMorphism, g: AInfMorphism, h: MultiOp,
-                           cap: int) -> Tuple[Callable[[Any], Vector],
+                           cap: int) -> Tuple[Callable[[UWord], Vector],
                                               CheckReport]:
     """The derivation between the adjoint-algebra maps induced by the two
     morphisms.  On one packed letter it sums over block decompositions with
@@ -230,11 +230,9 @@ def homotopy_to_derivation(f: AInfMorphism, g: AInfMorphism, h: MultiOp,
     # commutator [d, D] produces the opposite difference).
     def d_letter(lt) -> Vector:
         packed = H.extended(tuple(lt)).map_words(lambda w: (w,))
-        return Utgt.normal_form(packed).scaled(R.from_int(-1))
+        return packed.bind(Utgt.normal_form).scaled(R.from_int(-1))
 
-    def D(u) -> Vector:
-        if isinstance(u, Vector):
-            return u.bind(D)
+    def D(u: UWord) -> Vector:
         out = Vector.zero(R)
         pre = 0
         for i, lt in enumerate(u):
@@ -242,15 +240,16 @@ def homotopy_to_derivation(f: AInfMorphism, g: AInfMorphism, h: MultiOp,
             piece = F(u[:i]).concat(d_letter(lt)).concat(G(u[i + 1:]))
             out.add_vector(piece, s)
             pre = (pre + Usrc.letter_parity(lt)) % 2
-        return Utgt.normal_form(out)
+        return out.bind(Utgt.normal_form)
 
     rep = CheckReport("ue-derivation",
                       "twisted Leibniz rule and [d, D] = U(f) - U(g)",
                       cap)
     for u in Usrc.uwords(cap, eta_free=True):
-        lhs = Utgt.normal_form(D(Usrc.ue_differential(u))
-                               + D(u).bind(Utgt.ue_differential))
-        rhs = Utgt.normal_form(F(u) - G(u))
+        # D, F, G and the differentials all return normal forms
+        lhs = Usrc.ue_differential(u).bind(D) \
+            + D(u).bind(Utgt.ue_differential)
+        rhs = F(u) - G(u)
         if lhs != rhs:
             rep.fail(((u, "commutator"), rhs, lhs))
             break
@@ -261,8 +260,7 @@ def homotopy_to_derivation(f: AInfMorphism, g: AInfMorphism, h: MultiOp,
             budget = cap - Usrc.uword_weight(u)
             for v in Usrc.uwords(budget, eta_free=True):
                 lhs = D(u + v)
-                rhs = Utgt.normal_form(Utgt.mul(D(u), G(v))
-                                       + Utgt.mul(F(u), D(v)).scaled(su))
+                rhs = D(u).concat(G(v)) + F(u).concat(D(v)).scaled(su)
                 if lhs != rhs:
                     rep.fail(((u, v, "leibniz"), rhs, lhs))
                     bad = True
@@ -295,23 +293,21 @@ class UeContraction:
         self.cap = cap
         self.limit = 2 * cap + 2  # steps allowed before a reduction stalls
 
-    def h_op(self, vec) -> Vector:
-        if not isinstance(vec, Vector):
-            vec = Vector.basis(self.ring, vec)
+    def h_op(self, u: UWord) -> Vector:
+        if len(u) >= 2 and len(u[0]) == 1:
+            a = u[0][0]
+            s = self.ring.from_int(sign(self.A.space.parity(a)))
+            merged = ((a,) + u[1],) + u[2:]
+            return self.U.normal_form(merged).scaled(s)
+        return Vector.zero(self.ring)
 
-        def on(u: UWord) -> Vector:
-            if len(u) >= 2 and len(u[0]) == 1:
-                a = u[0][0]
-                s = self.ring.from_int(sign(self.A.space.parity(a)))
-                merged = ((a,) + u[1],) + u[2:]
-                return self.U.normal_form(merged).scaled(s)
-            return Vector.zero(self.ring)
-        return vec.bind(on)
-
-    def e_op(self, vec) -> Vector:
-        """1 - dH - Hd."""
-        d = self.U.ue_differential
-        return vec - d(self.h_op(vec)) - self.h_op(d(vec))
+    def e_op(self, vec: Vector) -> Vector:
+        """1 - dH - Hd.  vec and the values of H are normal forms, so d is
+        the differential followed by one normal form of the merged terms."""
+        U = self.U
+        dh = vec.bind(self.h_op).bind(U.differential).bind(U.normal_form)
+        hd = vec.bind(U.differential).bind(U.normal_form).bind(self.h_op)
+        return vec - dh - hd
 
     def in_base(self, vec: Vector) -> bool:
         """Supported on the image of the base: the empty word and single
@@ -325,7 +321,7 @@ class UeContraction:
         boundary certifies the reduction on closed inputs)."""
         ell, passed, cur = perturbation_series(vec, self.e_op, self.limit,
                                                "reduction", self.in_base)
-        return ell, cur, self.h_op(passed)
+        return ell, cur, passed.bind(self.h_op)
 
 
 def ue_contraction(A: AInfAlgebra,
@@ -373,9 +369,9 @@ def ue_contraction(A: AInfAlgebra,
             for j, c in enumerate(sol):
                 u.add_term(words[j], c)
             ell, a, hhat = C.reduce(u)
-            if u - a != U.ue_differential(hhat):
+            if u - a != hhat.bind(U.ue_differential):
                 rep.fail(((u, "certificate", ell), u - a,
-                          U.ue_differential(hhat)))
+                          hhat.bind(U.ue_differential)))
                 break
     return C, rep
 
@@ -394,9 +390,7 @@ class DgaMorphism:
         self.ring = source.ring
         self.table = {k: v for k, v in table.items() if not v.is_zero()}
 
-    def apply(self, x) -> Vector:
-        if isinstance(x, Vector):
-            return x.bind(self.apply)
+    def apply(self, x: str) -> Vector:
         v = self.table.get(x)
         return v if v is not None else Vector.zero(self.ring)
 
@@ -414,15 +408,15 @@ def check_dga_morphism(F: DgaMorphism) -> CheckReport:
     S, T = F.source, F.target
     if F.apply(S.unit) != Vector.basis(F.ring, T.unit):
         rep.fail((("unit",), T.unit, F.apply(S.unit)))
-    if F.apply(S.curvature) != T.curvature:
-        rep.fail((("curvature",), T.curvature, F.apply(S.curvature)))
+    if S.curvature.bind(F.apply) != T.curvature:
+        rep.fail((("curvature",), T.curvature, S.curvature.bind(F.apply)))
     for x in S.space.names:
-        lhs = F.apply(S.d(S.element(x)))
+        lhs = S.d(S.element(x)).bind(F.apply)
         rhs = T.d(F.apply(x))
         if lhs != rhs:
             rep.fail(((x, "d"), rhs, lhs))
         for y in S.space.names:
-            lhs = F.apply(S.mul(S.element(x), S.element(y)))
+            lhs = S.mul(S.element(x), S.element(y)).bind(F.apply)
             rhs = T.mul(F.apply(x), F.apply(y))
             if lhs != rhs:
                 rep.fail(((x, y, "mul"), rhs, lhs))
@@ -514,10 +508,8 @@ def bar_transfer_contraction(M: ModuleLike, F: DgaMorphism,
     Q = TensorModule(M, V)
     R = M.ring
 
-    def h_cone(vec) -> Vector:
-        if not isinstance(vec, Vector):
-            vec = Vector.basis(R, vec)
-        return vec.bind(lambda c: h_table.get(c, Vector.zero(R)))
+    def h_cone(c) -> Vector:
+        return h_table.get(c, Vector.zero(R))
 
     def merging(t, beta: Word) -> Vector:
         """The weight-lowering part B of the coderivation on one word."""
@@ -560,8 +552,8 @@ def bar_transfer_contraction(M: ModuleLike, F: DgaMorphism,
     for c in V.space.names:
         cv = Vector.basis(R, c)
         dC = cv.bind(lambda n: V.b_apply((), n, ()))
-        got = h_cone(cv).bind(lambda n: V.b_apply((), n, ())) \
-            + h_cone(dC)
+        got = h_cone(c).bind(lambda n: V.b_apply((), n, ())) \
+            + dC.bind(h_cone)
         if got != cv:
             cone_ok = False
             rep.fail((("cone", c), cv, got))

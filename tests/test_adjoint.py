@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,7 @@ def test_differential_of_unit_words():
     U = UAlgebra(dga_rank2(F7, 2, 3, 4).algebra)
     assert U.differential(()).is_zero()
     # d omega[eta] lands in the ideal: every term keeps an eta letter
-    assert U.normal_form(U.differential((("e",),))).is_zero()
+    assert U.differential((("e",),)).bind(U.normal_form).is_zero()
 
 
 def test_differential_single_letter_oracle():
@@ -54,11 +55,10 @@ def test_differential_is_a_derivation(seed):
     for _ in range(12):
         u = rng.choice(words)
         v = rng.choice(words)
-        uv = Vector.basis(F7, u + v)
-        lhs = U.differential(uv)
+        lhs = U.differential(u + v)
         s = F7.from_int((-1) ** U.uword_parity(u))
-        rhs = U.mul(U.differential(u), Vector.basis(F7, v)) \
-            + U.mul(Vector.basis(F7, u), U.differential(v)).scaled(s)
+        rhs = U.differential(u).concat(Vector.basis(F7, v)) \
+            + Vector.basis(F7, u).concat(U.differential(v)).scaled(s)
         assert lhs == rhs, (seed, u, v)
 
 
@@ -100,10 +100,20 @@ def test_normal_form_rules():
     # multiplying any word by an ideal generator stays in the ideal
     gen = Vector.basis(F7, (("u", "e", "u"),))
     w = Vector.basis(F7, (("u",),))
-    assert U.normal_form(U.mul(w, gen)).is_zero()
-    assert U.normal_form(U.mul(gen, w)).is_zero()
+    assert w.concat(gen).bind(U.normal_form).is_zero()
+    assert gen.concat(w).bind(U.normal_form).is_zero()
     unit_gen = Vector.basis(F7, ()) - Vector.basis(F7, (("e",),))
-    assert U.normal_form(U.mul(w, unit_gen)).is_zero()
+    assert w.concat(unit_gen).bind(U.normal_form).is_zero()
+
+
+def test_word_maps_refuse_a_vector():
+    # a Vector goes through bind; a word map given a whole Vector raises
+    # rather than read it as a uword
+    U = UAlgebra(dga_rank2(F7, 1, 1, 1).algebra)
+    vec = Vector.basis(F7, (("u",),))
+    for word_map in (U.normal_form, U.differential):
+        with pytest.raises(TypeError):
+            word_map(vec)
 
 
 def test_inclusion_is_a_structure_morphism():

@@ -9,7 +9,10 @@ import sys
 import pytest
 
 from ainfkit import cli
+from ainfkit.adjoint import UAlgebra
 from ainfkit.docio import ParseError, ValidationError, load, load_dict
+from ainfkit.fixtures import dga_rank2, dga_two_odd, trivial_algebra
+from ainfkit.rings import IntegersMod
 
 F7 = {"kind": "Zmod", "n": "7"}
 QX = {"kind": "poly", "base": {"kind": "Q"}, "variables": ["x"]}
@@ -443,6 +446,29 @@ def test_cap_resolution(write, capsys, monkeypatch):
     assert cli.main(["check-algebra", write(doc, "neg.json")]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "caps" in captured.err
+
+
+def test_jobs_below_one_is_refused(write, capsys):
+    path = write(DOC_CURVED)
+    for jobs in ("0", "-5"):
+        assert cli.main(["check-algebra", path, "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --jobs %s: jobs must be 1 or more\n"
+                                % jobs)
+
+
+def test_build_ue_counts_match_the_enumeration():
+    Z7 = IntegersMod(7)
+    algebras = [trivial_algebra(Z7), dga_rank2(Z7, 2, 3, 4).algebra,
+                dga_two_odd(Z7, 1).algebra]
+    assert [len(A.shift.names) for A in algebras] == [1, 2, 3]
+    for A in algebras:
+        U = UAlgebra(A)
+        for cap in range(6):
+            details = cli._build_ue_report(A, cap).details
+            assert details["letters"] == sum(1 for _ in U.letters(cap))
+            assert details["uwords"] == sum(1 for _ in U.uwords(cap))
 
 
 def _set(path, value):

@@ -319,7 +319,8 @@ def test_ue_functor_letter_map_matches_the_splitting_reference(seed):
     for lt in WORDS[1:]:
         want = reference_extend(lt, len(lt), lambda k: [[(0, f.f.apply)] * k],
                                 SHIFT.word_parity, F5)
-        assert F((lt,)) == U.normal_form(want.map_words(lambda w: (w,))), lt
+        assert F((lt,)) == want.map_words(lambda w: (w,)).bind(
+            U.normal_form), lt
 
 
 def test_compositions_enumeration():

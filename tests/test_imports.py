@@ -30,6 +30,26 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def test_no_vector_type_dispatch():
+    """Operators on basis words take a word, never "a word or a Vector": a
+    Vector goes through ``Vector.bind``.  The only isinstance test against
+    Vector is the one in ``Vector.__eq__``."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "Vector":
+                allowed |= {id(n) for m in node.body
+                            if getattr(m, "name", None) == "__eq__"
+                            for n in ast.walk(m)}
+        found += ["%s:%d" % (path.name, n.lineno) for n in ast.walk(tree)
+                  if isinstance(n, ast.Call) and id(n) not in allowed
+                  and getattr(n.func, "id", None) == "isinstance"
+                  and "Vector" in _names(n.args[1])]
+    assert found == []
+
+
 def _names(node):
     """How often each identifier is named under a node: as a variable, an
     attribute or an imported name."""
