@@ -238,14 +238,19 @@ class AInfMorphism:
 
 
 def check_morphism(f: AInfMorphism, word_cap: int) -> CheckReport:
-    """B' F - F B = 0 on words up to the cap, plus the unit laws."""
+    """B' F - F B = 0 on words up to the cap, plus the unit laws.
+
+    B'F - FB is an F-coderivation into the tensor coalgebra, so it is
+    fixed by its one-letter component b'(F(w)) - f(B(w)); that component
+    is what each word compares.  Words come shortest first, so at the first
+    failing word the whole difference is its one-letter component."""
     rep = CheckReport("morphism", "B'F = FB", word_cap)
     rep.details["unit_laws"] = f.check_unit().verdict
     if rep.details["unit_laws"] != PASS:
         rep.fail(("unit-laws", None, None))
     for w in f.source.words(word_cap):
-        lhs = f.extended(w).bind(f.target.B)
-        rhs = f.source.B(w).bind(f.extended)
+        lhs = f.extended(w).bind(f.target.b.apply)
+        rhs = f.source.B(w).bind(f.f.apply)
         if lhs != rhs:
             rep.fail((w, rhs, lhs))
             break

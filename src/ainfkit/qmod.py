@@ -39,18 +39,13 @@ TElem = Tuple[Any, Word, Any]   # (module letter, A[1]-word, bimodule letter)
 
 class UeBimodule(BimoduleLike):
     """The adjoint algebra as a bimodule over its base algebra.  Elements
-    are normal-form (unit-free) concatenation words.
+    are normal-form (unit-free) concatenation words."""
 
-    ``flip_right_sign`` is a mutation hook: it drops the Koszul sign on the
-    right packing operation, which must break the structure relation.
-    """
-
-    def __init__(self, base, flip_right_sign: bool = False):
+    def __init__(self, base):
         self.left = base
         self.right = base
         self.U = UAlgebra(base)
         self.ring = base.ring
-        self.flip_right_sign = flip_right_sign
 
     def v_parity(self, chi: UWord) -> int:
         return self.U.uword_parity(chi)
@@ -68,9 +63,7 @@ class UeBimodule(BimoduleLike):
         if aword and not a2word:
             return U.normal_form((tuple(aword),) + chi)
         if not aword and a2word:
-            s = sign(U.uword_parity(chi))
-            if not self.flip_right_sign:
-                s = -s
+            s = -sign(U.uword_parity(chi))
             return U.normal_form(chi + (tuple(a2word),)).scaled(
                 self.ring.from_int(s))
         return Vector.zero(self.ring)

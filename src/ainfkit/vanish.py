@@ -124,13 +124,12 @@ class AugmentationMap:
 
     ``values`` gives l on generator names; even support keeps l homogeneous,
     which is what makes the induced lambda = -l o omega an odd functional on
-    A[1] (the contraction identity [B_0, H] = 1 needs exactly that).  When
-    ``check_unit`` is set (the default) the construction verifies
-    l(m_0(1)) = 1, the hypothesis of the vanishing argument.
+    A[1] (the contraction identity [B_0, H] = 1 needs exactly that).  The
+    construction verifies l(m_0(1)) = 1, the hypothesis of the vanishing
+    argument.
     """
 
-    def __init__(self, A: AInfAlgebra, values: Dict[str, Any],
-                 check_unit: bool = True):
+    def __init__(self, A: AInfAlgebra, values: Dict[str, Any]):
         self.A = A
         self.ring = A.ring
         self.values: Dict[str, Any] = {}
@@ -143,10 +142,9 @@ class AugmentationMap:
             if A.space.parity(x) != 0:
                 raise ValueError("augmentation value on odd generator %r" % x)
             self.values[x] = c
-        if check_unit:
-            got = self.ell(classical_curvature(A))
-            if got != self.ring.one:
-                raise ValueError("l(m_0(1)) = %r, not 1" % (got,))
+        got = self.ell(classical_curvature(A))
+        if got != self.ring.one:
+            raise ValueError("l(m_0(1)) = %r, not 1" % (got,))
 
     def ell(self, vec: Vector) -> Any:
         """l on a vector over unshifted generator names."""
@@ -223,9 +221,6 @@ def kp_contraction(M: ModuleLike, aug: AugmentationMap, cap: int
     """
     if aug.A is not M.algebra and aug.A.b.table != M.algebra.b.table:
         raise ValueError("augmentation is for a different algebra")
-    got = aug.ell(classical_curvature(M.algebra))
-    if got != M.ring.one:
-        raise ValueError("l(m_0(1)) = %r, not 1" % (got,))
     ring = M.ring
     H = h_operator(M, aug)
 

@@ -4,8 +4,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ainfkit import homotopy
+from ainfkit.adjoint import UAlgebra
 from ainfkit.ainf import (AInfAlgebra, AInfModule, AInfMorphism, CurvedDga,
                           HomElement, check_bimodule,
                           check_bimodule_units, check_module,
@@ -14,7 +17,7 @@ from ainfkit.ainf import (AInfAlgebra, AInfModule, AInfMorphism, CurvedDga,
 from ainfkit.fixtures import (dga_rank2, dga_two_odd, module_from_classical,
                               module_pqab, random_hom_perturbation,
                               trivial_algebra, twisted_identity_morphism)
-from ainfkit.graded import GradedSpace, Grading, MultiOp, Vector
+from ainfkit.graded import GradedSpace, Grading, MultiOp, Vector, sign
 from ainfkit.homotopy import (AInfHomotopy, DgaMorphism, IntervalCoalgebra,
                               ObstructionElement, ObstructionWitness,
                               TheoremViolation, _hom_basis, _stage_columns,
@@ -29,6 +32,7 @@ from ainfkit.homotopy import (AInfHomotopy, DgaMorphism, IntervalCoalgebra,
                               mapping_cone_bimodule, obstruction_class,
                               obstruction_is_exact,
                               quillen_classical_components, ue_contraction)
+from ainfkit.qmod import ue_functor
 from ainfkit.report import FAIL, PASS
 from ainfkit.rings import Integers, IntegersMod
 from ainfkit.vanish import UnsupportedStructure
@@ -159,14 +163,6 @@ def test_homotopy_zero_only_between_equal_morphisms():
     assert check_ainf_homotopy(f, g, zero, 4).verdict == FAIL
 
 
-def test_assembled_endpoints_are_the_morphisms():
-    f, g, h = homotopic_pair()
-    H = AInfHomotopy(f, g, h)
-    for w in f.source.words(3):
-        assert H.assembled("p", w) == f.extended(w)
-        assert H.assembled("q", w) == g.extended(w)
-
-
 # ---------------------------------------------------------------------------
 # derivation transport
 
@@ -184,6 +180,45 @@ def test_derivation_transport_identity_pair_is_zero():
     assert rep.passed
     for u in ((), (("x",),), (("x",), ("x",))):
         assert D(u).is_zero()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_derivation_satisfies_the_twisted_leibniz_rule(data):
+    # D(u + v) = D(u)G(v) + (-1)^{|u|} F(u)D(v) on pairs of eta-free uwords
+    f, g, h = homotopic_pair()
+    D, _ = homotopy_to_derivation(f, g, h, 2)
+    Usrc, Utgt = UAlgebra(f.source), UAlgebra(f.target)
+    F, G = ue_functor(f, Utgt), ue_functor(g, Utgt)
+    words = list(Usrc.uwords(2, eta_free=True))
+    u = data.draw(st.sampled_from(words))
+    v = data.draw(st.sampled_from(words))
+    su = F7.from_int(sign(Usrc.uword_parity(u)))
+    assert D(u + v) == D(u).concat(G(v)) + F(u).concat(D(v)).scaled(su)
+
+
+def test_derivation_transport_fails_on_a_wrong_homotopy():
+    f, g, _ = homotopic_pair()
+    hbad = MultiOp(F7, -1, 4)
+    hbad.set(("x",), Vector.basis(F7, ("t",)))
+    _, rep = homotopy_to_derivation(f, g, hbad, 3)
+    assert rep.verdict == FAIL
+    assert rep.witness[0] == ((("x",),), "commutator")
+    assert rep.details == {"f_functor": PASS, "g_functor": PASS}
+
+
+def test_derivation_transport_refuses_a_mutated_morphism():
+    # g scales u by 2, so U(g) no longer commutes with d (du = 3e): the
+    # precondition fails before any letter is visited
+    A = dga_rank2(F7, 2, 3, 0).algebra
+    f = identity_morphism(A, 4)
+    gop = MultiOp(F7, 0, 4, dict(f.f.table))
+    gop.set(("u",), Vector.basis(F7, ("u",), 2))
+    g = AInfMorphism(A, A, gop)
+    _, rep = homotopy_to_derivation(f, g, MultiOp(F7, -1, 4), 3)
+    assert rep.verdict == FAIL
+    assert rep.witness[0] == "functor-precondition"
+    assert rep.details == {"f_functor": PASS, "g_functor": FAIL}
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +465,7 @@ def test_a_wrong_stage_assembly_never_passes(monkeypatch):
     rng = random.Random(5)
     f = twisted_identity_morphism(M, rng, 3)
     g = twisted_identity_morphism(M, rng, 3)
-    with pytest.raises(UnsupportedStructure, match="hom_differential"):
+    with pytest.raises(UnsupportedStructure, match="undecided"):
         for stage in range(0, 4):
             extend_homotopy(f, g, HomElement(M, M, -1, {}, 3), stage, 3)
     phi = twisted_identity_morphism(M, random.Random(1), 3)

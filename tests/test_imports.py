@@ -112,8 +112,8 @@ TEST_ONLY = {
                     "check_obstruction_bimodule"},
     "qmod.py": {"tensor_hom", "q_action", "q_as_ue",
                 "check_adjunction_transport", "restrict_hom",
-                "check_restriction_square", "check_ue_functor",
-                "check_free_module", "extend_scalars"},
+                "check_restriction_square", "check_free_module",
+                "extend_scalars"},
     "rings.py": {"variable", "truncate_degree", "constants_hom",
                  "evaluation_hom"},
     "vanish.py": {"check_curvature_commutator", "detect_augmentation",

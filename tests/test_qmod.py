@@ -46,10 +46,17 @@ def test_ue_bimodule_twisted_base():
     assert check_bimodule(UeBimodule(tw), 3).passed
 
 
+class FlippedRightSign(UeBimodule):
+    """A mutant that negates the right packing, dropping its Koszul sign."""
+
+    def b_apply(self, aword, chi, a2word):
+        out = super().b_apply(aword, chi, a2word)
+        return -out if a2word and not aword else out
+
+
 def test_ue_bimodule_sign_mutation_detected():
     D, M = _pq()
-    assert not check_bimodule(UeBimodule(D.algebra, flip_right_sign=True),
-                              3).passed
+    assert not check_bimodule(FlippedRightSign(D.algebra), 3).passed
 
 
 def test_ue_bimodule_packing_oracle():

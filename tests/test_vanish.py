@@ -157,9 +157,8 @@ def test_contraction_identity_on_curved_module_family(p, q, a, b):
 
 def test_contraction_rejects_wrong_functional():
     D, M = module_pqab(F7, 1, 1, 1, 2)
-    bad = AugmentationMap(D.algebra, {"e": 1}, check_unit=False)
-    with pytest.raises(ValueError):
-        kp_contraction(M, bad, 2)
+    with pytest.raises(ValueError, match="not 1"):
+        AugmentationMap(D.algebra, {"e": 1})
 
 
 # ---------------------------------------------------------------------------
