@@ -40,7 +40,8 @@ import itertools
 from typing import Any, Callable, Dict, Iterator, List, Tuple
 
 from .ainf import AInfAlgebra, AInfModule, AInfMorphism, CurvedDga
-from .graded import Vector, Word, block_extend, insert_blocks, sign
+from .graded import (Vector, Word, block_extend, insert_blocks, memoized,
+                     sign)
 from .report import FAIL, PASS, CheckReport
 
 Letter = Tuple[str, ...]        # nonempty word of A[1] generator names
@@ -150,21 +151,22 @@ def check_u_curvature(U: UAlgebra, cap: int,
     if full_delta:
         U = UAlgebra(U.base, full_delta=True)
     c = U.curvature()
-    for u in U.uwords(cap):
-        uvec = Vector.basis(U.ring, u)
-        lhs = U.differential(u).bind(U.differential)
-        rhs = c.concat(uvec) - uvec.concat(c)
-        if lhs != rhs:
-            rep.fail((u, rhs, lhs))
-            break
-    else:
-        for u in U.uwords(cap, eta_free=True):
+    with memoized(U, "d_letter", "differential", "ue_differential"):
+        for u in U.uwords(cap):
             uvec = Vector.basis(U.ring, u)
-            lhs = U.ue_differential(u).bind(U.ue_differential)
-            rhs = (c.concat(uvec) - uvec.concat(c)).bind(U.normal_form)
+            lhs = U.differential(u).bind(U.differential)
+            rhs = c.concat(uvec) - uvec.concat(c)
             if lhs != rhs:
-                rep.fail((("quotient", u), rhs, lhs))
+                rep.fail((u, rhs, lhs))
                 break
+        else:
+            for u in U.uwords(cap, eta_free=True):
+                uvec = Vector.basis(U.ring, u)
+                lhs = U.ue_differential(u).bind(U.ue_differential)
+                rhs = (c.concat(uvec) - uvec.concat(c)).bind(U.normal_form)
+                if lhs != rhs:
+                    rep.fail((("quotient", u), rhs, lhs))
+                    break
     return rep
 
 

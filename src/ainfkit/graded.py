@@ -10,11 +10,18 @@ Conventions used throughout the package:
 * a degree-shifted copy of a space keeps the generator names and lowers each
   degree by one (sigma has degree -1, its inverse omega degree +1);
 * every operator on basis words (letters, uwords, generators, module
-  triples) is a word -> Vector map, applied to a Vector with ``Vector.bind``.
+  triples) is a word -> Vector map, applied to a Vector with ``Vector.bind``;
+* a word map that a check evaluates over and over goes through ``cached``
+  (or, for the maps of an object built outside the check, ``memoized``), and
+  each cache lives for one check or construction call: it is never
+  module-global and never left on an object that outlives the call.  The
+  cached Vectors are shared, so no caller mutates a value a word map
+  returns.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
@@ -184,6 +191,39 @@ class Vector:
             return "0"
         return " + ".join("%r*%r" % (c, w) for w, c in sorted(
             self.terms.items(), key=lambda t: repr(t[0])))
+
+
+def cached(fn: Callable[[Any], Vector]) -> Callable[[Any], Vector]:
+    """The word map ``fn`` with its values kept in a dict, which lives as
+    long as the returned map."""
+    memo: Dict[Any, Vector] = {}
+
+    def lookup(word: Any) -> Vector:
+        v = memo.get(word)
+        if v is None:
+            v = memo[word] = fn(word)
+        return v
+
+    lookup.memo = memo
+    return lookup
+
+
+@contextlib.contextmanager
+def memoized(obj: Any, *names: str) -> Iterator[None]:
+    """Inside the block, the word-map methods ``names`` of ``obj`` go
+    through ``cached``; on exit ``obj`` is as it was.  A map that is already
+    cached is left alone."""
+    installed = []
+    for name in names:
+        fn = getattr(obj, name)
+        if not hasattr(fn, "memo"):
+            setattr(obj, name, cached(fn))
+            installed.append(name)
+    try:
+        yield
+    finally:
+        for name in installed:
+            delattr(obj, name)
 
 
 def sign(parity: int) -> int:

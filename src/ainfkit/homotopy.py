@@ -36,7 +36,7 @@ from .ainf import (AInfAlgebra, AInfMorphism, CurvedDga, HomElement,
                    ModuleLike, MultiOp, TableBimodule, check_morphism,
                    compose_hom, hom_differential, identity_hom,
                    module_coderivation, module_words)
-from .graded import GradedSpace, Vector, Word, sign
+from .graded import GradedSpace, Vector, Word, cached, memoized, sign
 from .linalg import kernel_basis_field, solve_field
 from .qmod import TensorModule, check_ue_functor, ue_functor
 from .report import FAIL, PASS, UNSUPPORTED, CheckReport
@@ -218,8 +218,6 @@ def homotopy_to_derivation(f: AInfMorphism, g: AInfMorphism, h: MultiOp,
     <= cap."""
     Usrc, Utgt = UAlgebra(f.source), UAlgebra(f.target)
     R = f.ring
-    F = ue_functor(f, Utgt)
-    G = ue_functor(g, Utgt)
     H = AInfHomotopy(f, g, h)
 
     # The interval normalization of the homotopy and the derivation
@@ -230,31 +228,49 @@ def homotopy_to_derivation(f: AInfMorphism, g: AInfMorphism, h: MultiOp,
         packed = H.extended(tuple(lt)).map_words(lambda w: (w,))
         return packed.bind(Utgt.normal_form).scaled(R.from_int(-1))
 
-    def D(u: UWord) -> Vector:
-        out = Vector.zero(R)
-        pre = 0
-        for i, lt in enumerate(u):
-            s = R.from_int(sign(pre))
-            piece = F(u[:i]).concat(d_letter(lt)).concat(G(u[i + 1:]))
-            out.add_vector(piece, s)
-            pre = (pre + Usrc.letter_parity(lt)) % 2
-        return out.bind(Utgt.normal_form)
+    def derivation(F, G, d_letter) -> Callable[[UWord], Vector]:
+        """D from the induced maps F, G (applied to one letter at a time,
+        normal forms being letterwise) and the letterwise map: running
+        products F(u[:i]) and G(u[i + 1:]) around d(u[i])."""
+        def D(u: UWord) -> Vector:
+            tails = [Vector.basis(R, ())]
+            for lt in reversed(u[1:]):
+                tails.append(G((lt,)).concat(tails[-1]))
+            out = Vector.zero(R)
+            head = Vector.basis(R, ())
+            pre = 0
+            for i, lt in enumerate(u):
+                piece = head.concat(d_letter(lt)).concat(tails[-1 - i])
+                out.add_vector(piece, R.from_int(sign(pre)))
+                if i + 1 < len(u):
+                    head = head.concat(F((lt,)))
+                    pre = (pre + Usrc.letter_parity(lt)) % 2
+            return out
+        return D
 
+    F = ue_functor(f, Utgt)
+    G = ue_functor(g, Utgt)
+    D = derivation(F, G, d_letter)
     rep = CheckReport("ue-derivation", "[d, D] = U(f) - U(g) on letters",
                       cap)
     rep.details["f_functor"] = check_ue_functor(f, cap).verdict
     rep.details["g_functor"] = check_ue_functor(g, cap).verdict
     if FAIL in (rep.details["f_functor"], rep.details["g_functor"]):
         return D, rep.fail(("functor-precondition", PASS, rep.details))
-    for lt in Usrc.letters(cap, eta_free=True):
-        u = (lt,)
-        # D, F, G and the differentials all return normal forms
-        lhs = Usrc.ue_differential(u).bind(D) \
-            + D(u).bind(Utgt.ue_differential)
-        rhs = F(u) - G(u)
-        if lhs != rhs:
-            rep.fail(((u, "commutator"), rhs, lhs))
-            break
+    # the check's own D reads F, G and d_letter through caches, which die
+    # with this call; the returned D does not hold them
+    F, G = cached(F), cached(G)
+    Dc = derivation(F, G, cached(d_letter))
+    with memoized(Utgt, "d_letter", "ue_differential"):
+        for lt in Usrc.letters(cap, eta_free=True):
+            u = (lt,)
+            # D, F, G and the differentials all return normal forms
+            lhs = Usrc.ue_differential(u).bind(Dc) \
+                + Dc(u).bind(Utgt.ue_differential)
+            rhs = F(u) - G(u)
+            if lhs != rhs:
+                rep.fail(((u, "commutator"), rhs, lhs))
+                break
     return D, rep
 
 
@@ -289,13 +305,17 @@ class UeContraction:
             return self.U.normal_form(merged).scaled(s)
         return Vector.zero(self.ring)
 
-    def e_op(self, vec: Vector) -> Vector:
-        """1 - dH - Hd.  vec and the values of H are normal forms, so d is
-        the differential followed by one normal form of the merged terms."""
+    def e_word(self, u: UWord) -> Vector:
+        """1 - dH - Hd on one word.  u and the values of H are normal forms,
+        so d is the differential followed by one normal form of the merged
+        terms."""
         U = self.U
-        dh = vec.bind(self.h_op).bind(U.differential).bind(U.normal_form)
-        hd = vec.bind(U.differential).bind(U.normal_form).bind(self.h_op)
-        return vec - dh - hd
+        dh = self.h_op(u).bind(U.differential).bind(U.normal_form)
+        hd = U.differential(u).bind(U.normal_form).bind(self.h_op)
+        return Vector.basis(self.ring, u) - dh - hd
+
+    def e_op(self, vec: Vector) -> Vector:
+        return vec.bind(self.e_word)
 
     def in_base(self, vec: Vector) -> bool:
         """Supported on the image of the base: the empty word and single
@@ -321,12 +341,19 @@ def ue_contraction(A: AInfAlgebra,
     canonical inclusion of the base is a quasi-isomorphism on the checked
     weight range."""
     C = UeContraction(A, cap)
-    R = A.ring
     rep = CheckReport("ue-contraction",
                       "1 - [d,H] fixes the base, iterates into it, and "
                       "contracts closed elements onto it", cap)
-    U = C.U
-    words = list(U.uwords(cap, eta_free=True))
+    with memoized(C, "h_op", "e_word"), \
+            memoized(C.U, "d_letter", "differential", "ue_differential"):
+        _certify(C, rep)
+    return C, rep
+
+
+def _certify(C: UeContraction, rep: CheckReport) -> None:
+    """The three checks of ``ue_contraction``, recorded on its report."""
+    R, U = C.ring, C.U
+    words = list(U.uwords(C.cap, eta_free=True))
     for u in words:
         uvec = Vector.basis(R, u)
         if C.in_base(uvec) and C.e_op(uvec) != uvec:
@@ -361,7 +388,6 @@ def ue_contraction(A: AInfAlgebra,
                 rep.fail(((u, "certificate", ell), u - a,
                           hhat.bind(U.ue_differential)))
                 break
-    return C, rep
 
 
 # ---------------------------------------------------------------------------

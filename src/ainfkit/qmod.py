@@ -31,7 +31,7 @@ from .adjoint import UAlgebra, UeModule, UWord, module_to_ue
 from .ainf import (AInfModule, AInfMorphism, BimoduleLike, HomElement,
                    ModuleLike, head_apply, hom_differential,
                    module_coderivation, module_words)
-from .graded import Vector, Word, sign
+from .graded import Vector, Word, cached, memoized, sign
 from .report import FAIL, CheckReport
 
 TElem = Tuple[Any, Word, Any]   # (module letter, A[1]-word, bimodule letter)
@@ -228,15 +228,15 @@ def check_lambda_closed(Q: TensorModule, cap: int) -> CheckReport:
     """The unit inclusion intertwines the coderivations exactly."""
     rep = CheckReport("lambda-closed", "the unit inclusion is closed", cap)
     M = Q.M
-    for m, alpha in module_words(M, cap):
-        lhs = lambda_operator(Q, m, alpha).bind(
-            lambda p: module_coderivation(Q, p[0], p[1]))
-        rhs = Vector.zero(Q.ring)
-        for (m2, a2), c in module_coderivation(M, m, alpha).terms.items():
-            rhs.add_vector(lambda_operator(Q, m2, a2), c)
-        if lhs != rhs:
-            rep.fail(((m, alpha), rhs, lhs))
-            break
+    BQ = cached(lambda p: module_coderivation(Q, p[0], p[1]))
+    L = cached(lambda p: lambda_operator(Q, p[0], p[1]))
+    with memoized(Q.V.U, "d_letter", "ue_differential"):
+        for m, alpha in module_words(M, cap):
+            lhs = L((m, alpha)).bind(BQ)
+            rhs = module_coderivation(M, m, alpha).bind(L)
+            if lhs != rhs:
+                rep.fail(((m, alpha), rhs, lhs))
+                break
     return rep
 
 
@@ -246,14 +246,15 @@ def check_epsilon_closed(Q: TensorModule, cap: int) -> CheckReport:
                       cap)
     M = Q.M
     EM = module_to_ue(M)
-    for t, beta in module_words(Q, cap):
-        lhs = epsilon_operator(Q, EM, t, beta).bind(
-            lambda p: module_coderivation(M, p[0], p[1]))
-        rhs = module_coderivation(Q, t, beta).bind(
-            lambda p: epsilon_operator(Q, EM, p[0], p[1]))
-        if lhs != rhs:
-            rep.fail(((t, beta), rhs, lhs))
-            break
+    BM = cached(lambda p: module_coderivation(M, p[0], p[1]))
+    E = cached(lambda p: epsilon_operator(Q, EM, p[0], p[1]))
+    with memoized(Q.V.U, "d_letter", "ue_differential"):
+        for t, beta in module_words(Q, cap):
+            lhs = E((t, beta)).bind(BM)
+            rhs = module_coderivation(Q, t, beta).bind(E)
+            if lhs != rhs:
+                rep.fail(((t, beta), rhs, lhs))
+                break
     return rep
 
 
@@ -297,19 +298,19 @@ def check_q_homotopy(Q: TensorModule, cap: int) -> CheckReport:
                       "on the reduced word space", cap)
     EM = module_to_ue(Q.M)
     eta = Q.M.algebra.eta
-    for t, beta in module_words(Q, cap):
-        if eta in t[1]:
-            continue
-        bh = h_operator(Q, EM, t, beta).bind(
-            lambda p: module_coderivation(Q, p[0], p[1]))
-        hb = module_coderivation(Q, t, beta).bind(
-            lambda p: h_operator(Q, EM, p[0], p[1]))
-        lam_eps = epsilon_operator(Q, EM, t, beta).bind(
-            lambda p: lambda_operator(Q, p[0], p[1]))
-        got = reduce_middle(Q, bh + hb + lam_eps)
-        if got != Vector.basis(Q.ring, (t, beta)):
-            rep.fail(((t, beta), (t, beta), got))
-            break
+    B = cached(lambda p: module_coderivation(Q, p[0], p[1]))
+    H = cached(lambda p: h_operator(Q, EM, p[0], p[1]))
+    with memoized(Q.V.U, "d_letter", "ue_differential"):
+        for t, beta in module_words(Q, cap):
+            if eta in t[1]:
+                continue
+            w = (t, beta)
+            lam_eps = epsilon_operator(Q, EM, t, beta).bind(
+                lambda p: lambda_operator(Q, p[0], p[1]))
+            got = reduce_middle(Q, H(w).bind(B) + B(w).bind(H) + lam_eps)
+            if got != Vector.basis(Q.ring, w):
+                rep.fail((w, w, got))
+                break
     return rep
 
 
@@ -468,16 +469,25 @@ def ue_functor(f: AInfMorphism, Utgt: UAlgebra) -> Callable[[UWord], Vector]:
 
 
 def check_ue_functor(f: AInfMorphism, cap: int) -> CheckReport:
-    """The induced map of adjoint algebras preserves the unit, matches the
-    curvatures, and commutes with the differentials (multiplicativity holds
-    by construction)."""
+    """The induced map of adjoint algebras preserves the unit, kills the
+    unit ideal (the letter omega[eta] goes to 1, and every longer letter
+    holding eta goes to 0), matches the curvatures, and commutes with the
+    differentials (multiplicativity holds by construction)."""
     rep = CheckReport("ue-functor",
                       "adjoint-algebra map respects d and curvature", cap)
     Usrc = UAlgebra(f.source)
     Utgt = UAlgebra(f.target)
     F = ue_functor(f, Utgt)
-    if F(()) != Vector.basis(f.source.ring, ()):
+    one = Vector.basis(f.source.ring, ())
+    eta = f.source.eta
+    if F(()) != one:
         rep.fail((("unit",), "1", F(())))
+    if F(((eta,),)) != one:
+        rep.fail((("unit-letter",), "1", F(((eta,),))))
+    for lt in Usrc.letters(cap):
+        if eta in lt and lt != (eta,) and not F((lt,)).is_zero():
+            rep.fail(((lt, "ideal"), "0", F((lt,))))
+            break
     csrc = Usrc.curvature().bind(Usrc.normal_form)
     ctgt = Utgt.curvature().bind(Utgt.normal_form)
     if csrc.bind(F) != ctgt:

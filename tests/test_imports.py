@@ -128,3 +128,62 @@ def test_test_only_definitions_only_shrink():
     for fname, _, name in _unnamed(("src", "perfbench")):
         found[fname].add(name)
     assert dict(found) == TEST_ONLY
+
+
+class _CacheSites(ast.NodeVisitor):
+    """Where the package memoizes: functools caches anywhere, and calls of
+    ``cached`` outside a function body or inside an ``__init__``, as
+    (line, what).  Decorators and default values run where the function is
+    defined, so they count at the enclosing level."""
+
+    def __init__(self):
+        self.scope = []     # names of the enclosing functions
+        self.found = []
+
+    def visit_FunctionDef(self, node):
+        for n in node.decorator_list + node.args.defaults \
+                + [d for d in node.args.kw_defaults if d is not None]:
+            self.visit(n)
+        self.scope.append(node.name)
+        for n in node.body:
+            self.visit(n)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Lambda(self, node):
+        self.scope.append("<lambda>")
+        self.visit(node.body)
+        self.scope.pop()
+
+    def visit_Attribute(self, node):
+        if (node.attr in ("lru_cache", "cache")
+                and getattr(node.value, "id", None) == "functools"):
+            self.found.append((node.lineno, "functools." + node.attr))
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node):
+        if node.module == "functools":
+            self.found += [(node.lineno, "functools." + a.name)
+                           for a in node.names
+                           if a.name in ("lru_cache", "cache")]
+
+    def visit_Call(self, node):
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name == "cached" and (not self.scope or self.scope[-1]
+                                 == "__init__"):
+            self.found.append((node.lineno, "cached outside one call"))
+        self.generic_visit(node)
+
+
+def test_caches_live_for_one_call():
+    """A word cache lives for one check or construction call: no functools
+    cache in the package, and no ``cached`` map made at module or class
+    level or in a constructor, where it would outlive the call."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        sites = _CacheSites()
+        sites.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found += ["%s:%d %s" % (path.name, line, what)
+                  for line, what in sites.found]
+    assert found == []

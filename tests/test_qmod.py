@@ -12,7 +12,8 @@ from ainfkit.ainf import (check_bimodule, check_module, compose_morphisms,
 from ainfkit.fixtures import (dga_rank2, module_pqab, random_hom_perturbation,
                               trivial_algebra, twisted_dga,
                               twisted_identity_morphism)
-from ainfkit.graded import Vector
+from ainfkit.graded import MultiOp, Vector
+from ainfkit.homotopy import homotopy_to_derivation
 from ainfkit.qmod import (FreeUeModule, TensorModule, UeBimodule,
                           check_adjunction_transport, check_epsilon_closed,
                           check_free_module, check_lambda_closed,
@@ -325,6 +326,23 @@ def test_ue_functor_identity_and_twist():
     rng = random.Random(9)
     tw, f = twisted_dga(D.algebra, rng, arity_cap=6, f_cap=3)
     assert check_ue_functor(f, 3).passed
+
+
+def test_ue_functor_refuses_broken_unit_laws():
+    # f_1(eta) = 2 eta sends omega[eta] to 2; f_2(eta, u) = u sends the
+    # ideal letter omega[eta u] to omega[u]
+    A = dga_rank2(F7, 2, 3, 0).algebra
+    scaled, inserted = identity_morphism(A, 4), identity_morphism(A, 4)
+    scaled.f.set(("e",), Vector.basis(F7, ("e",), 2))
+    inserted.f.set(("e", "u"), Vector.basis(F7, ("u",)))
+    zero = MultiOp(F7, -1, 4)
+    cases = ((scaled, ("unit-letter",)), (inserted, (("e", "u"), "ideal")))
+    for f, where in cases:
+        rep = check_ue_functor(f, 3)
+        assert rep.verdict == "FAIL" and rep.witness[0] == where
+        _, drep = homotopy_to_derivation(f, f, zero, 3)
+        assert drep.verdict == "FAIL"
+        assert drep.witness[0] == "functor-precondition"
 
 
 def test_ue_functor_identity_is_identity():
