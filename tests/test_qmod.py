@@ -5,6 +5,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ainfkit import qmod
 from ainfkit.adjoint import UAlgebra, dg_module_axioms, module_to_ue
 from ainfkit.ainf import (check_bimodule, check_module, compose_morphisms,
                           hom_differential, identity_hom, identity_morphism,
@@ -24,6 +25,9 @@ from ainfkit.qmod import (FreeUeModule, TensorModule, UeBimodule,
                           q_module, restrict_hom, restrict_scalars,
                           tensor_hom, ue_functor)
 from ainfkit.rings import IntegersMod
+
+from test_q_head_components import all_cases
+from test_word_cache import module_cases
 
 F7 = IntegersMod(7)
 
@@ -58,6 +62,16 @@ class FlippedRightSign(UeBimodule):
 def test_ue_bimodule_sign_mutation_detected():
     D, M = _pq()
     assert not check_bimodule(FlippedRightSign(D.algebra), 3).passed
+
+
+def test_lambda_closed_detects_a_flipped_right_packing():
+    # the packing terms of the two sides cancel whatever the module table,
+    # so the check tests the sign conventions of the packings
+    M = module_cases(1)[0]
+    assert check_lambda_closed(q_module(M), 3).passed
+    rep = check_lambda_closed(TensorModule(M, FlippedRightSign(M.algebra)),
+                              3)
+    assert rep.verdict == "FAIL" and rep.witness[0] == ("x", ("e",))
 
 
 def test_ue_bimodule_packing_oracle():
@@ -242,6 +256,41 @@ def test_homotopy_weight_bookkeeping():
                 assert t[2][-len(t2[2]):] == t2[2] if t2[2] else True
                 got = len(t2[1]) + U.uword_weight(t2[2])
                 assert got <= len(t[1]) + U.uword_weight(t[2])
+
+
+def test_q_checks_take_no_whole_word_path(monkeypatch):
+    # the Q ~ 1 checks compare head components: B^Q is never applied to a
+    # whole word, and B of the right word is formed only for the
+    # uncancelled terms of an inhomogeneous table
+    whole, boundary = [0], [0]
+    coderivation, sandwich = qmod.module_coderivation, qmod.sandwich
+
+    def counting_coderivation(M, *args):
+        whole[0] += isinstance(M, TensorModule)
+        return coderivation(M, *args)
+
+    def counting_sandwich(*args):
+        boundary[0] += 1
+        return sandwich(*args)
+
+    monkeypatch.setattr(qmod, "module_coderivation", counting_coderivation)
+    monkeypatch.setattr(qmod, "sandwich", counting_sandwich)
+    verdicts, inhomogeneous = set(), 0
+    for seed in range(4, 8):
+        *homogeneous, wrong_parity = all_cases(seed)
+        for N in homogeneous + [wrong_parity]:
+            Q = q_module(N)
+            for check in (check_q_homotopy, check_lambda_closed,
+                          check_epsilon_closed):
+                boundary[0] = 0
+                verdicts.add(check(Q, 3).verdict)
+                if N is wrong_parity:
+                    inhomogeneous += boundary[0]
+                else:
+                    assert boundary[0] == 0, (seed, check.__name__)
+    assert verdicts == {"PASS", "FAIL"}
+    assert whole[0] == 0
+    assert inhomogeneous > 0
 
 
 # ---------------------------------------------------------------------------
