@@ -120,14 +120,24 @@ def _structure_check(rep: CheckReport, words: Iterable,
                      whole: Callable[[Any], Vector],
                      unit_laws: CheckReport) -> CheckReport:
     """The structure relation of a coderivation B built from a family b,
-    through two code paths on every word w: path "b(B)" applies ``whole``,
-    the family on entire words, to B(w), and path "B^2" applies
+    through two code paths on each of ``words``: path "b(B)" applies
+    ``whole``, the family on entire words, to B(w), and path "B^2" applies
     ``coderivation`` to it again.
 
     The report fails on the unit laws first, then at the first word where
     a path is nonzero, with witness (w, "0", value).  The two paths must
     agree; a disagreement fails the report and records the first failure
     of each path under "inconsistency" rather than hiding it.
+
+    The checks pass every word up to the cap, in enumeration order, or
+    only the ``support_words`` of their tables, in the same order.  They
+    pass the support words when every family involved is homogeneous and
+    odd and, for a module or bimodule, its algebras pass b(B) on their
+    own support words up to the cap.  Each path then first fails at the
+    same word as on every word: b(B) vanishes off the support words, and
+    B^2 is the coderivation whose one-letter component is b(B), so B^2 is
+    nonzero on a word only if b(B) is nonzero on a subword, and a proper
+    subword comes earlier in the enumeration.
     """
     paths = (("b(B)", whole), ("B^2", coderivation))
     first_fail: Dict[str, Tuple] = {}
@@ -153,12 +163,139 @@ def _structure_check(rep: CheckReport, words: Iterable,
     return rep
 
 
+def _enumeration_key(A: Optional[AInfAlgebra]) -> Callable[[Word], Tuple]:
+    """The order of ``A.words``: by length, then letter by letter in
+    generator order (without an algebra, only the empty word)."""
+    rank = {x: i for i, x in enumerate(A.space.names)} if A else {}
+    return lambda w: (len(w), [rank[x] for x in w])
+
+
+def _spliced(word: Word, p: int, inner: Word) -> Word:
+    """``word`` with its letter at position p replaced by ``inner``."""
+    return word[:p] + inner + word[p + 1:]
+
+
+def support_words(entries: Dict[Tuple[Word, Any, Word], Vector],
+                  left: Optional[AInfAlgebra], right: Optional[AInfAlgebra],
+                  heads: Sequence, cap: int
+                  ) -> Iterator[Tuple[Word, Any, Word]]:
+    """The words on which b(B) can be nonzero, for a coderivation B built
+    from a table-backed family b with the nonzero ``entries``.
+
+    Words and entry keys are triples (alpha, h, alpha2): a word in the
+    letters of ``left``, a head letter and a word in those of ``right``.
+    An algebra's words are (w, None, ()), and its b is also ``left``'s
+    family; a module's are ((), m, alpha) and a bimodule's (alpha, v,
+    alpha2), and b maps them to head letters.  B applies ``left``'s family
+    inside alpha, ``right``'s inside alpha2 and b across the head, so each
+    term of b(B)(w) is b on an entry u with one letter u[p] replaced by an
+    entry v whose image holds u[p] (v = () gives the curvature terms).
+    These words, for each head in ``heads`` and with at most ``cap``
+    letters besides the head, come in the order of ``bimodule_words``: by
+    head, by len(alpha), then by alpha, len(alpha2) and alpha2.
+
+    They are made lazily, one (head, len(alpha)) group at a time, split by
+    len(alpha2) when alpha is empty, so an algebra's and a module's come
+    one length at a time.  Each group is read off indexes of the entries
+    by shape (h, len(alpha), len(alpha2)) and letter.
+    """
+    by_shape: Dict[Tuple, list] = {}
+    slots: Tuple[Dict, Dict] = ({}, {})  # per side: shape -> letter -> slots
+    tops: Dict[Any, list] = {}
+    for key, val in entries.items():
+        a, h, a2 = key
+        shape = (h, len(a), len(a2))
+        by_shape.setdefault(shape, []).append(key)
+        for side, word in enumerate((a, a2)):
+            for p, x in enumerate(word):
+                slots[side].setdefault(shape, {}).setdefault(x, []).append(
+                    (key, p))
+        if h is not None:
+            tops.setdefault(h, []).append((a, a2, tuple(val.terms)))
+    # each side's family: its entry words by length, then by image letter
+    inner: Tuple[Dict, Dict] = ({}, {})
+    for side, A in enumerate((left, right)):
+        if A is not None:
+            for w, val in A.b.table.items():
+                for (x,) in val.terms:
+                    inner[side].setdefault(len(w), {}).setdefault(
+                        x, []).append(w)
+    lkey, rkey = _enumeration_key(left), _enumeration_key(right)
+
+    def group(h, n: int, right_lengths: Iterable[int]) -> list:
+        out = set()
+        for n2 in right_lengths:
+            for side, by_len in enumerate(inner):
+                for k, by_letter in by_len.items():
+                    at = slots[side].get((h, n - k + 1, n2) if side == 0
+                                         else (h, n, n2 - k + 1))
+                    if not at:
+                        continue
+                    for x, ws in by_letter.items():
+                        for (a, _, a2), p in at.get(x, ()):
+                            for w in ws:
+                                out.add((_spliced(a, p, w), h, a2)
+                                        if side == 0
+                                        else (a, h, _spliced(a2, p, w)))
+            for g, d, images in tops.get(h, ()):
+                for m in images:
+                    for a, _, a2 in by_shape.get(
+                            (m, n - len(g), n2 - len(d)), ()):
+                        out.add((a + g, h, d + a2))
+        return sorted(out, key=lambda t: (lkey(t[0]), rkey(t[2])))
+
+    for h in heads:
+        for n in range(cap + 1):
+            right_lengths = range(cap - n + 1)
+            for batch in ([[n2] for n2 in right_lengths] if n == 0
+                          else [right_lengths]):
+                yield from group(h, n, batch)
+
+
+def _odd_family(entries: Dict, key_parity: Callable[[Any], int],
+                term_parity: Callable[[Any], int]) -> bool:
+    """Whether every term of every entry has the parity of its key plus
+    one, so that the family is homogeneous and odd.  A letter that names
+    no generator (KeyError), or an algebra term that is not one letter
+    (TypeError), makes it False."""
+    try:
+        for k, v in entries.items():
+            want = (key_parity(k) + 1) % 2
+            if any(term_parity(t) % 2 != want for t in v.terms):
+                return False
+    except (KeyError, TypeError):
+        return False
+    return True
+
+
+def _algebra_support(A: AInfAlgebra, cap: int) -> Optional[Iterator[Word]]:
+    """A's support words up to the cap, or None when b is not a
+    homogeneous odd family of letters."""
+    entries = {(w, None, ()): v for w, v in A.b.table.items()}
+    if not _odd_family(entries, lambda k: A.word_parity(k[0]),
+                       lambda t: A.letter_parity(*t)):
+        return None
+    return (w for w, _, _ in support_words(entries, A, None, (None,), cap))
+
+
+def _square_zero(A: AInfAlgebra, cap: int) -> bool:
+    """Whether b is homogeneous and odd and b(B) = 0 on every word up to
+    the cap (so that B^2 = 0 there), decided on A's support words."""
+    words = _algebra_support(A, cap)
+    return words is not None and all(
+        A.B(w).bind(A.b.apply).is_zero() for w in words)
+
+
 def check_algebra(A: AInfAlgebra, word_cap: int) -> CheckReport:
     """Structure relation b(B) = 0 and B^2 = 0 on words up to the cap,
-    plus the unit laws."""
+    plus the unit laws.  The words visited are A's support words when b
+    is homogeneous and odd, and every word up to the cap otherwise (see
+    ``_structure_check``)."""
+    words = _algebra_support(A, word_cap)
     return _structure_check(
         CheckReport("algebra", "b(B) = 0 and B^2 = 0", word_cap),
-        A.words(word_cap), A.B, A.b.apply, check_unit_laws(A))
+        A.words(word_cap) if words is None else words, A.B, A.b.apply,
+        check_unit_laws(A))
 
 
 # ---------------------------------------------------------------------------
@@ -458,28 +595,61 @@ def module_coderivation(M: ModuleLike, m, alpha: Word) -> Vector:
     return out
 
 
+def _module_support(M: ModuleLike, cap: int
+                    ) -> Optional[Iterator[Tuple[Any, Word]]]:
+    """A table module's support words (m, alpha) up to the cap, or None
+    when M has no table, its family is not homogeneous and odd, or its
+    algebra fails b(B) = 0 up to the cap."""
+    if not isinstance(M, AInfModule):
+        return None
+    A = M.algebra
+    entries = {((), m, a): v for (m, a), v in M.table.items()}
+    if not (_odd_family(entries,
+                        lambda k: M.m_parity(k[1]) + A.word_parity(k[2]),
+                        M.m_parity) and _square_zero(A, cap)):
+        return None
+    return ((m, a) for _, m, a in support_words(entries, None, A,
+                                                  M.space.names, cap))
+
+
 def check_module(M: ModuleLike, cap: int) -> CheckReport:
-    """Structure relation b^M(B^M) = 0 and (B^M)^2 = 0, two code paths."""
+    """Structure relation b^M(B^M) = 0 and (B^M)^2 = 0, two code paths.
+    The words visited are M's support words when M is a table module
+    whose family and algebra are homogeneous and odd and whose algebra
+    passes b(B) = 0 up to the cap, and every word up to the cap otherwise
+    (see ``_structure_check``)."""
+    words = _module_support(M, cap)
     return _structure_check(
         CheckReport("module", "b^M(B^M) = 0 and (B^M)^2 = 0", cap),
-        module_words(M, cap), lambda mw: module_coderivation(M, *mw),
+        module_words(M, cap) if words is None else words,
+        lambda mw: module_coderivation(M, *mw),
         lambda mw: M.b_apply(*mw), check_module_units(M, cap))
 
 
 def check_module_units(M: ModuleLike, cap: int) -> CheckReport:
     """Strict unitality: the binary operation against eta is minus the
-    (sign-twisted) identity, all other unit insertions vanish."""
+    (sign-twisted) identity, all other unit insertions vanish.  On a table
+    module only the table entries can be nonzero, so only they are
+    visited, in enumeration order."""
     rep = CheckReport("module-units", "b^M_2(m,eta) = -(-1)^{|m|} m; "
                       "other eta components vanish", cap)
     ring = M.ring
-    e = M.algebra.eta
+    A = M.algebra
+    e = A.eta
     for m, wt in M.basis(cap):
         got = M.b_apply(m, (e,))
         want = Vector.basis(ring, m, ring.from_int(-sign(M.m_parity(m))))
         if got != want:
             return rep.fail(((m, (e,)), want, got))
-        for alpha in M.algebra.words(cap - wt, min_len=2):
-            if e in alpha:
+        if isinstance(M, AInfModule):
+            words = sorted((a for n, a in M.table if n == m
+                            and len(a) <= cap - wt
+                            and A.space.gens.keys() >= set(a)),
+                           key=_enumeration_key(A))
+        else:
+            words = A.words(cap - wt)
+        for alpha in words:
+            if len(alpha) >= 2 and e in alpha:
                 got = M.b_apply(m, alpha)
                 if not got.is_zero():
                     return rep.fail(((m, alpha), "0", got))
@@ -658,20 +828,47 @@ def bimodule_coderivation(V: BimoduleLike, alpha: Word, v, alpha2: Word) -> Vect
     return out
 
 
+def _bimodule_support(V: BimoduleLike, cap: int
+                      ) -> Optional[Iterator[Tuple[Word, Any, Word]]]:
+    """A table bimodule's support words up to the cap, or None when V has
+    no table, its family is not homogeneous and odd, or one of its
+    algebras fails b(B) = 0 up to the cap."""
+    if not isinstance(V, TableBimodule):
+        return None
+    A, A2 = V.left, V.right
+    if not (_odd_family(V.table, lambda k: A.word_parity(k[0])
+                        + V.v_parity(k[1]) + A2.word_parity(k[2]),
+                        V.v_parity)
+            and _square_zero(A, cap) and (A2 is A or _square_zero(A2, cap))):
+        return None
+    return support_words(V.table, A, A2, V.space.names, cap)
+
+
 def check_bimodule(V: BimoduleLike, cap: int) -> CheckReport:
+    """Structure relation b^V(B^V) = 0 and (B^V)^2 = 0, two code paths.
+    The words visited are V's support words when V is a table bimodule
+    whose family and algebras are homogeneous and odd and whose algebras
+    pass b(B) = 0 up to the cap, and every word up to the cap otherwise
+    (see ``_structure_check``)."""
+    words = _bimodule_support(V, cap)
     return _structure_check(
         CheckReport("bimodule", "b^V(B^V) = 0 and (B^V)^2 = 0", cap),
-        bimodule_words(V, cap), lambda w: bimodule_coderivation(V, *w),
+        bimodule_words(V, cap) if words is None else words,
+        lambda w: bimodule_coderivation(V, *w),
         lambda w: V.b_apply(*w), check_bimodule_units(V, cap))
 
 
 def check_bimodule_units(V: BimoduleLike, cap: int) -> CheckReport:
     """Unit letters act as (signed) identities in the two binary components
-    and annihilate everything longer."""
+    and annihilate everything longer.  On a table bimodule only the table
+    entries can be nonzero, so only they are visited, in enumeration
+    order."""
     rep = CheckReport("bimodule-units", "unit letters act as identity in "
                       "arity two, vanish beyond", cap)
     ring = V.ring
-    el, er = V.left.eta, V.right.eta
+    A, A2 = V.left, V.right
+    el, er = A.eta, A2.eta
+    lkey, rkey = _enumeration_key(A), _enumeration_key(A2)
     for v, wt in V.basis(cap):
         got = V.b_apply((el,), v, ())
         if got != Vector.basis(ring, v):
@@ -681,15 +878,22 @@ def check_bimodule_units(V: BimoduleLike, cap: int) -> CheckReport:
         if got != want:
             return rep.fail((((), v, (er,)), want, got))
         budget = cap - wt
-        for k in range(budget + 1):
-            for alpha in V.left.words(k, min_len=k):
-                for alpha2 in V.right.words(budget - k):
-                    if k + 1 + len(alpha2) <= 2:
-                        continue
-                    if el in alpha or er in alpha2:
-                        got = V.b_apply(alpha, v, alpha2)
-                        if not got.is_zero():
-                            return rep.fail(((alpha, v, alpha2), "0", got))
+        if isinstance(V, TableBimodule):
+            words = sorted(((a, a2) for a, n, a2 in V.table if n == v
+                            and len(a) + len(a2) <= budget
+                            and A.space.gens.keys() >= set(a)
+                            and A2.space.gens.keys() >= set(a2)),
+                           key=lambda p: (lkey(p[0]), rkey(p[1])))
+        else:
+            words = ((alpha, alpha2) for k in range(budget + 1)
+                     for alpha in A.words(k, min_len=k)
+                     for alpha2 in A2.words(budget - k))
+        for alpha, alpha2 in words:
+            if len(alpha) + len(alpha2) >= 2 and (el in alpha
+                                                  or er in alpha2):
+                got = V.b_apply(alpha, v, alpha2)
+                if not got.is_zero():
+                    return rep.fail(((alpha, v, alpha2), "0", got))
     return rep
 
 
