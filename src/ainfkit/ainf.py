@@ -583,6 +583,10 @@ def head_apply(ring: Ring, head: Callable[[Any, Word], Vector], m,
     return out
 
 
+# B^M as a word map on pairs (m, alpha), for callers that cache it
+PairMap = Callable[[Tuple[Any, Word]], Vector]
+
+
 def module_coderivation(M: ModuleLike, m, alpha: Word) -> Vector:
     """B^M = b^M (.) 1^(x) + 1 (.) B on one word; output words are pairs."""
     ring = M.ring
@@ -711,17 +715,22 @@ def identity_hom(M: ModuleLike, cap: int) -> HomElement:
     return HomElement(M, M, 0, table, cap)
 
 
-def hom_differential(phi: HomElement, cap: Optional[int] = None) -> HomElement:
-    """[B, phi] = b^N((phi (.) 1^(x)) -) - (-1)^{|phi|} phi(B^M -)."""
+def hom_differential(phi: HomElement, cap: Optional[int] = None,
+                     source_B: Optional[PairMap] = None) -> HomElement:
+    """[B, phi] = b^N((phi (.) 1^(x)) -) - (-1)^{|phi|} phi(B^M -).
+
+    ``source_B`` is B^M as a word map on pairs (m, alpha), for a caller
+    that keeps one cached for its own call; by default each word applies
+    ``module_coderivation`` afresh."""
     cap = phi.cap if cap is None else cap
     M, N = phi.source, phi.target
     ring = phi.ring
     s = ring.from_int(-sign(phi.degree))
+    B = source_B or (lambda p: module_coderivation(M, p[0], p[1]))
     table: Dict[Tuple[Any, Word], Vector] = {}
     for m, alpha in module_words(M, cap):
         val = phi.operator(m, alpha).bind(lambda mw: N.b_apply(*mw))
-        val = val + module_coderivation(M, m, alpha).bind(
-            lambda mw: phi.apply(*mw)).scaled(s)
+        val = val + B((m, alpha)).bind(lambda mw: phi.apply(*mw)).scaled(s)
         if not val.is_zero():
             table[(m, alpha)] = val
     return HomElement(M, N, phi.degree + 1, table, cap)

@@ -33,8 +33,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .adjoint import UAlgebra, UWord
 from .ainf import (AInfAlgebra, AInfMorphism, CurvedDga, HomElement,
-                   ModuleLike, MultiOp, TableBimodule, check_morphism,
-                   compose_hom, hom_differential, identity_hom,
+                   ModuleLike, MultiOp, PairMap, TableBimodule,
+                   check_morphism, compose_hom, hom_differential, identity_hom,
                    module_coderivation, module_words)
 from .graded import GradedSpace, Vector, Word, cached, memoized, sign
 from .linalg import kernel_basis_field, solve_field
@@ -634,13 +634,15 @@ class ObstructionWitness:
 
 
 def obstruction_class(phi: HomElement, cap: int,
-                      stage: Optional[int] = None) -> ObstructionElement:
+                      stage: Optional[int] = None,
+                      source_B: Optional[PairMap] = None
+                      ) -> ObstructionElement:
     """The leading obstruction of a degree-0 hom-element phi: the lowest
     arity part of [B, phi], which is closed in the quotient of homs of
     arity >= stage by arity >= stage+1.  If `stage` is given, [B, phi] must
-    vanish below it."""
+    vanish below it.  `source_B` is passed on to hom_differential."""
     _require_uncurved(phi.source, phi.target)
-    d = hom_differential(phi, cap)
+    d = hom_differential(phi, cap, source_B)
     k = d.support_min()
     if stage is None:
         if k is None:
@@ -773,21 +775,23 @@ def _solve_multi(ring: Ring,
 
 
 def _boundary_matches(X: HomElement, rep: HomElement, stage: int,
-                      cap: int) -> bool:
+                      cap: int, source_B: Optional[PairMap] = None) -> bool:
     """The check of a stage solution that does not rely on its assembly:
     the arity-`stage` part of [B, X], computed by hom_differential, equals
     the representative."""
-    got = arity_part(hom_differential(X, cap), stage)
+    got = arity_part(hom_differential(X, cap, source_B), stage)
     return got.plus(rep.negated()).support_min() is None
 
 
-def obstruction_is_exact(obs: ObstructionElement,
-                         cap: int) -> ExactnessResult:
+def obstruction_is_exact(obs: ObstructionElement, cap: int,
+                         source_B: Optional[PairMap] = None
+                         ) -> ExactnessResult:
     """Decide whether the obstruction class vanishes in the stage quotient:
     look for an arity-`stage` hom X, one degree below the representative,
     with the stage part of [B, X] equal to the representative.  Field
     coefficients only; otherwise UNDECIDED, as when the primitive found
-    fails the check through hom_differential."""
+    fails the check through hom_differential (given `source_B`, B^M of
+    the representative's source as a word map)."""
     M, N = obs.rep.source, obs.rep.target
     ring = M.ring
     if not ring.is_field:
@@ -796,21 +800,23 @@ def obstruction_is_exact(obs: ObstructionElement,
                        [([(0, ring.one, None)], obs.rep)], cap)
     if sol is None:
         return ExactnessResult("Nonexact")
-    if not _boundary_matches(sol[0], obs.rep, obs.stage, cap):
+    if not _boundary_matches(sol[0], obs.rep, obs.stage, cap, source_B):
         return ExactnessResult("UNDECIDED")
     return ExactnessResult("Exact", sol[0])
 
 
-def extend_morphism(phi: HomElement, stage: int, cap: int):
+def extend_morphism(phi: HomElement, stage: int, cap: int,
+                    source_B: Optional[PairMap] = None):
     """Given a degree-0 hom-element that is a morphism up to arity `stage`
     (its differential is supported in arities >= stage), kill the stage
     obstruction: return phi + X, a morphism up to stage+1, or an
     ObstructionWitness when the obstruction class is essential.  Raises
-    UnsupportedStructure when exactness is undecided."""
-    obs = obstruction_class(phi, cap, stage)
+    UnsupportedStructure when exactness is undecided.  `source_B`, B^M of
+    phi's source as a word map, goes to every hom_differential made."""
+    obs = obstruction_class(phi, cap, stage, source_B)
     if obs.is_zero():
         return phi
-    res = obstruction_is_exact(obs, cap)
+    res = obstruction_is_exact(obs, cap, source_B)
     if res.status == "UNDECIDED":
         raise UnsupportedStructure("stage %d: exactness is undecided" % stage)
     if res.status != "Exact":
@@ -938,7 +944,11 @@ def invert_homotopy(phi: HomElement, psi: HomElement, h: HomElement,
 
     produce (psi_hat, h_hat) with psi_hat closed up to the arity cap and
     1 - phi psi_hat - [B, h_hat] supported above the cap.  Stage failures
-    raise TheoremViolation with the obstruction as witness."""
+    raise TheoremViolation with the obstruction as witness.
+
+    Every hom_differential of the call, including those of the stage
+    extensions, takes the coderivation of its source module from one word
+    map per module, cached for this call."""
     M, N = phi.source, phi.target
     ring = phi.ring
     cap = arity_cap
@@ -946,20 +956,31 @@ def invert_homotopy(phi: HomElement, psi: HomElement, h: HomElement,
     if not ring.is_field:
         raise UnsupportedStructure("the inversion stages need field "
                                    "coefficients")
-    if hom_differential(phi, cap).support_min() is not None:
+    coderivations: Dict[int, PairMap] = {}
+
+    def source_B(x: HomElement) -> PairMap:
+        S = x.source
+        if id(S) not in coderivations:
+            coderivations[id(S)] = cached(
+                lambda p: module_coderivation(S, p[0], p[1]))
+        return coderivations[id(S)]
+
+    def d(x: HomElement) -> HomElement:
+        return hom_differential(x, cap, source_B(x))
+
+    if d(phi).support_min() is not None:
         raise ValueError("the morphism to invert must be closed")
 
     def residual(ps: HomElement, ho: HomElement) -> HomElement:
         return identity_hom(N, cap).plus(
-            compose_hom(phi, ps, cap).negated()).plus(
-            hom_differential(ho, cap).negated())
+            compose_hom(phi, ps, cap).negated()).plus(d(ho).negated())
 
     rep = CheckReport("homotopy-inversion",
                       "stagewise upgrade of an arity-one homotopy "
                       "inverse", cap)
     r0 = residual(psi, h)
     k0 = r0.support_min()
-    kpsi = hom_differential(psi, cap).support_min()
+    kpsi = d(psi).support_min()
     k = min(x for x in (k0, kpsi, cap + 1) if x is not None)
     if k < 1:
         raise TheoremViolation(
@@ -967,7 +988,7 @@ def invert_homotopy(phi: HomElement, psi: HomElement, h: HomElement,
             "arity 0", arity_part(r0, 0))
     other = identity_hom(M, cap).plus(
         compose_hom(psi, phi, cap).negated()).plus(
-        hom_differential(ell, cap).negated())
+        d(ell).negated())
     ko = other.support_min()
     if ko is not None and ko < 1:
         raise TheoremViolation(
@@ -975,7 +996,7 @@ def invert_homotopy(phi: HomElement, psi: HomElement, h: HomElement,
             "arity 0", arity_part(other, 0))
     psi_hat, h_hat = psi, h
     for stage in range(k, cap + 1):
-        ext = extend_morphism(psi_hat, stage, cap)
+        ext = extend_morphism(psi_hat, stage, cap, source_B(psi_hat))
         if isinstance(ext, ObstructionWitness):
             raise TheoremViolation(
                 stage, "the morphism-extension stage equation has no "
@@ -1009,7 +1030,7 @@ def invert_homotopy(phi: HomElement, psi: HomElement, h: HomElement,
     kf = final.support_min()
     if kf is not None and kf <= cap:
         rep.fail((("final-residual",), "> %d" % cap, kf))
-    kc = hom_differential(psi_hat, cap).support_min()
+    kc = d(psi_hat).support_min()
     if kc is not None and kc <= cap:
         rep.fail((("closedness",), "> %d" % cap, kc))
     return psi_hat, h_hat, rep

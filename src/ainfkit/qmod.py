@@ -551,7 +551,14 @@ def check_ue_functor(f: AInfMorphism, cap: int) -> CheckReport:
     """The induced map of adjoint algebras preserves the unit, kills the
     unit ideal (the letter omega[eta] goes to 1, and every longer letter
     holding eta goes to 0), matches the curvatures, and commutes with the
-    differentials (multiplicativity holds by construction)."""
+    differentials (multiplicativity holds by construction).
+
+    A strictly unital f (``f.check_unit()`` PASSes) kills the unit ideal
+    by construction: a block decomposition of a longer letter holding eta
+    either has a block of two or more letters holding eta, which f sends
+    to 0, or the block (eta), which f sends to eta' inside a longer letter,
+    which the normal form kills.  The letters holding eta are then not
+    visited."""
     rep = CheckReport("ue-functor",
                       "adjoint-algebra map respects d and curvature", cap)
     Usrc = UAlgebra(f.source)
@@ -563,10 +570,11 @@ def check_ue_functor(f: AInfMorphism, cap: int) -> CheckReport:
         rep.fail((("unit",), "1", F(())))
     if F(((eta,),)) != one:
         rep.fail((("unit-letter",), "1", F(((eta,),))))
-    for lt in Usrc.letters(cap):
-        if eta in lt and lt != (eta,) and not F((lt,)).is_zero():
-            rep.fail(((lt, "ideal"), "0", F((lt,))))
-            break
+    if not f.check_unit().passed:
+        for lt in Usrc.letters(cap):
+            if eta in lt and lt != (eta,) and not F((lt,)).is_zero():
+                rep.fail(((lt, "ideal"), "0", F((lt,))))
+                break
     csrc = Usrc.curvature().bind(Usrc.normal_form)
     ctgt = Utgt.curvature().bind(Utgt.normal_form)
     if csrc.bind(F) != ctgt:

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from ainfkit import qmod
 from ainfkit.adjoint import UAlgebra, dg_module_axioms, module_to_ue
-from ainfkit.ainf import (check_bimodule, check_module, compose_morphisms,
+from ainfkit.ainf import (AInfMorphism, check_bimodule, check_module,
+                          compose_morphisms,
                           hom_differential, identity_hom, identity_morphism,
                           HomElement, module_coderivation)
 from ainfkit.fixtures import (dga_rank2, module_pqab, random_hom_perturbation,
@@ -24,8 +25,10 @@ from ainfkit.qmod import (FreeUeModule, TensorModule, UeBimodule,
                           hom_to_dg, lambda_operator, q_action, q_as_ue,
                           q_module, restrict_hom, restrict_scalars,
                           tensor_hom, ue_functor)
+from ainfkit.report import FAIL, PASS, CheckReport
 from ainfkit.rings import IntegersMod
 
+from test_homotopy import homotopic_pair
 from test_q_head_components import all_cases
 from test_word_cache import module_cases
 
@@ -392,6 +395,38 @@ def test_ue_functor_refuses_broken_unit_laws():
         _, drep = homotopy_to_derivation(f, f, zero, 3)
         assert drep.verdict == "FAIL"
         assert drep.witness[0] == "functor-precondition"
+
+
+def test_ue_functor_skips_the_unit_ideal_only_for_unital_maps(monkeypatch):
+    # a strictly unital f kills the unit ideal by construction, so the
+    # letters holding eta are visited only when f.check_unit() FAILs; the
+    # reports are the same with the skip and without it
+    f, g, _ = homotopic_pair()
+    broken = AInfMorphism(f.source, f.target,
+                          MultiOp(F7, 0, 4, dict(f.f.table)))
+    broken.f.set(("x", "e"), Vector.basis(F7, ("t",)))
+    extended = AInfMorphism.extended
+    calls = [0]
+
+    def counting(self, w):
+        calls[0] += 1
+        return extended(self, w)
+
+    monkeypatch.setattr(AInfMorphism, "extended", counting)
+    runs = []
+    for skip in (True, False):
+        if not skip:
+            monkeypatch.setattr(
+                AInfMorphism, "check_unit",
+                lambda self: CheckReport("morphism-unit", "", None, FAIL))
+        calls[0] = 0
+        reports = [check_ue_functor(h, 4).to_dict() for h in (f, g, broken)]
+        runs.append((reports, calls[0]))
+    (with_skip, fewer), (without, more) = runs
+    assert with_skip == without
+    assert [r["verdict"] for r in with_skip] == [PASS, PASS, FAIL]
+    assert with_skip[2]["witness"].startswith("((('x', 'e'), 'ideal')")
+    assert fewer < more
 
 
 def test_ue_functor_identity_is_identity():

@@ -8,23 +8,27 @@ the structures a check was given: a second call does the same work.
 
 import random
 
-from ainfkit import graded, homotopy, qmod
+from ainfkit import ainf, graded, homotopy, qmod, vanish
 from ainfkit.adjoint import UAlgebra, check_u_curvature
-from ainfkit.ainf import AInfAlgebra, AInfModule, AInfMorphism
-from ainfkit.fixtures import module_pqab, random_scalar
+from ainfkit.ainf import (AInfAlgebra, AInfModule, AInfMorphism, HomElement,
+                          identity_hom)
+from ainfkit.fixtures import (module_pqab, random_scalar,
+                              twisted_identity_morphism)
 from ainfkit.graded import MultiOp, Vector, cached, memoized
-from ainfkit.homotopy import (homotopy_to_derivation,
-                              quillen_classical_components, ue_contraction)
+from ainfkit.homotopy import (arity_part, homotopy_to_derivation,
+                              invert_homotopy, quillen_classical_components,
+                              ue_contraction)
 from ainfkit.qmod import (check_epsilon_closed, check_lambda_closed,
                           check_q_homotopy, q_module)
 from ainfkit.report import FAIL, PASS
 from ainfkit.rings import IntegersMod, Rationals
+from ainfkit.vanish import FOUND, detect_augmentation, kp_contraction
 
 from test_letter_components import (homotopic_morphism, one_term_mutant,
                                     random_family, twisted)
 
 # the modules that call ``cached`` (``memoized`` calls graded's)
-CALLERS = (graded, qmod, homotopy)
+CALLERS = (graded, qmod, homotopy, vanish)
 
 
 def module_mutant(M, rng):
@@ -45,6 +49,23 @@ def module_cases(seed):
     R = IntegersMod(7) if seed % 2 else Rationals()
     _, M = module_pqab(R, *(random_scalar(R, rng) for _ in range(4)))
     return [M, module_mutant(M, rng)]
+
+
+def twisted_inversion(M, rng, cap):
+    """(phi, psi, h, ell) inverting phi = 1 + [B, xi] on M from its
+    arity-zero identity, with zero homotopies."""
+    hz = HomElement(M, M, -1, {}, cap)
+    return (twisted_identity_morphism(M, rng, cap),
+            arity_part(identity_hom(M, cap), 0), hz, hz)
+
+
+def inversion_case(seed, cap):
+    """twisted_inversion on a seeded uncurved module over Z/7 or Q."""
+    rng = random.Random(seed)
+    R = IntegersMod(7) if seed % 2 else Rationals()
+    _, M = module_pqab(R, random_scalar(R, rng, True),
+                       random_scalar(R, rng, True), 0, random_scalar(R, rng))
+    return twisted_inversion(M, rng, cap)
 
 
 def algebra_cases(seed):
@@ -73,6 +94,12 @@ def reports(seed):
         for check in (check_q_homotopy, check_lambda_closed,
                       check_epsilon_closed):
             out.append(("%s/%d" % (check.__name__, i), check(Q, 3)))
+        search = detect_augmentation(M.algebra)
+        if search.status == FOUND:
+            out.append(("kp/%d" % i,
+                        kp_contraction(M, search.augmentation, 3)[1]))
+    out.append(("inversion", invert_homotopy(*inversion_case(seed, 3),
+                                             3)[2]))
     tw, bad_alg, *triples = algebra_cases(seed)
     for i, A in enumerate((tw, bad_alg)):
         out.append(("curvature/%d" % i, check_u_curvature(UAlgebra(A), 3)))
@@ -101,9 +128,11 @@ def test_cached_checks_match_the_uncached_ones(monkeypatch):
         verdicts.setdefault(label.partition("/")[0], set()).add(
             rep["verdict"])
     # the FAIL paths run through the caches too; the unit inclusion is
-    # closed for every module table, and the seeded twists contract
+    # closed for every module table, the seeded twists contract, and the
+    # seeded inversions succeed
     for k, v in verdicts.items():
-        assert v == ({PASS} if k.startswith(("check_lambda", "contraction"))
+        assert v == ({PASS} if k.startswith(("check_lambda", "contraction",
+                                             "inversion"))
                      else {PASS, FAIL}), (k, v)
 
 
@@ -168,3 +197,44 @@ def test_memoized_scope():
     assert U.d_letter(lt) == inner(lt)
     assert U.d_letter(lt) is not U.d_letter(lt)
     assert isinstance(inner(lt), Vector)
+
+
+def holds_memo(fn, seen=()):
+    """Whether fn, or a function its closure reaches, keeps a cache."""
+    if hasattr(fn, "memo"):
+        return True
+    return any(callable(cell.cell_contents)
+               and cell.cell_contents not in seen
+               and holds_memo(cell.cell_contents, seen + (fn,))
+               for cell in getattr(fn, "__closure__", None) or ())
+
+
+def test_kp_and_inversion_caches_live_for_one_call(monkeypatch):
+    assert holds_memo(cached(lambda w: w))
+    _, M = module_pqab(IntegersMod(7), 2, 3, 1, 5)
+    aug = detect_augmentation(M.algebra).augmentation
+    G, rep = kp_contraction(M, aug, 3)
+    assert rep.passed
+    assert not holds_memo(G)
+    v = Vector.basis(M.ring, ("x", ("e", "u")))
+    assert G(v) == G(v) and not G(v).is_zero()
+
+    calls = [0]
+    coderivation = ainf.module_coderivation
+
+    def counting(*args):
+        calls[0] += 1
+        return coderivation(*args)
+
+    for mod in (ainf, homotopy):
+        monkeypatch.setattr(mod, "module_coderivation", counting)
+    args = inversion_case(1, 3)
+    M = args[0].source
+    before = dict(vars(M))
+    counts = []
+    for _ in range(2):
+        calls[0] = 0
+        assert invert_homotopy(*args, 3)[2].passed
+        assert vars(M) == before
+        counts.append(calls[0])
+    assert counts[0] == counts[1] > 0
