@@ -141,29 +141,21 @@ class UAlgebra:
             self.normal_form)
 
 
-def _odd_differential(U: UAlgebra, c: Vector, cap: int) -> bool:
-    """c is even, d raises the parity of every letter of weight <= cap by
-    one, and the letter omega[eta] is even (so ``normal_form`` keeps
-    parities): then d^2 - [c, -] is an even derivation on the uwords of
-    weight <= cap, in U(A) and in U_e(A)."""
-    return (not U.letter_parity((U.base.eta,))
-            and not any(U.uword_parity(u) for u in c.terms)
-            and all(U.uword_parity(u) == (U.letter_parity(lt) + 1) % 2
-                    for lt in U.letters(cap) for u in U.d_letter(lt).terms))
-
-
 def check_u_curvature(U: UAlgebra, cap: int,
                       full_delta: bool = False) -> CheckReport:
     """d^2 u = c.u - u.c on every uword of weight <= cap, both in U(A) and,
     after normal forms, in U_e(A).  With ``full_delta`` the check runs on
     the mutant ``UAlgebra(U.base, full_delta=True)``.
 
-    When c is even and d odd on letters (``_odd_differential``), the
-    difference d^2 - [c, -] is an even derivation, and so is its image on
-    U_e(A) since ``normal_form`` is multiplicative; it then vanishes on every
-    uword once it vanishes on the letters (eta-free ones for U_e(A)), and a
-    PASS visits letters only.  Otherwise, or when a letter fails, the uwords
-    are enumerated in full, so the first failing uword is reported."""
+    The base algebra's b is odd and its unit even (``AInfAlgebra`` refuses
+    anything else), so c is even, d is odd on every letter and the letter
+    omega[eta] is even.  The difference d^2 - [c, -] is then an even
+    derivation, and so is its image on U_e(A) since ``normal_form`` is
+    multiplicative and keeps parities; it vanishes on every uword once it
+    vanishes on the letters (eta-free ones for U_e(A)), and a PASS visits
+    letters only.  The full-Delta mutant's d is not odd, so for it, or when
+    a letter fails, the uwords are enumerated in full, and the first
+    failing uword is reported."""
     rep = CheckReport("u-curvature", "d^2 = [c,-] on the adjoint algebra",
                       cap)
     if full_delta:
@@ -189,7 +181,7 @@ def check_u_curvature(U: UAlgebra, cap: int,
         return ((lt,) for lt in U.letters(cap, eta_free))
 
     with memoized(U, "d_letter", "differential", "ue_differential"):
-        if _odd_differential(U, c, cap) \
+        if not U.full_delta \
                 and first_failure(letters(False), letters(True)) is None:
             return rep
         witness = first_failure(U.uwords(cap), U.uwords(cap, eta_free=True))

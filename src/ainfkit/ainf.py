@@ -27,13 +27,29 @@ from .report import FAIL, PASS, CheckReport
 from .rings import Ring
 
 
+def _require_odd(family: str, entries: Dict,
+                 key_parity: Callable[[Any], int],
+                 term_parity: Callable[[Any], int]) -> None:
+    """Refuse a structure family that is not homogeneous and odd: every
+    term of every entry must have the parity of its key plus one.  A key
+    or term that names no generator raises KeyError."""
+    for k, v in entries.items():
+        want = (key_parity(k) + 1) % 2
+        for t in v.terms:
+            if term_parity(t) % 2 != want:
+                raise ValueError("%s entry %r: term %r does not have the "
+                                 "parity of its key plus one"
+                                 % (family, k, t))
+
+
 class AInfAlgebra:
     """A curved strictly unital A-infinity algebra given by a b-table.
 
     ``space`` holds the unshifted generator degrees; the table of ``b`` is
     indexed by words in the suspension (same generator names, degree one
     lower).  ``unit`` names the strict unit e; eta = sigma(e) is the
-    corresponding letter of A[1].
+    corresponding letter of A[1].  A unit of odd degree, or a family that
+    is not homogeneous and odd, is refused with ValueError.
     """
 
     def __init__(self, space: GradedSpace, unit: str, b: MultiOp):
@@ -41,12 +57,17 @@ class AInfAlgebra:
             raise ValueError("unit %r is not a generator" % unit)
         if b.degree != 1:
             raise ValueError("the structure family must have degree 1")
+        if space.parity(unit):
+            raise ValueError("unit %r has odd degree %d"
+                             % (unit, space.degree(unit)))
         self.space = space
         self.unit = unit
         self.b = b
         self.shift = space.shifted()
         self.ring = space.ring
         self.grading = space.grading
+        letters = {(x,): self.letter_parity(x) for x in space.names}
+        _require_odd("b", b.table, self.word_parity, letters.__getitem__)
 
     @property
     def arity_cap(self) -> int:
@@ -130,10 +151,11 @@ def _structure_check(rep: CheckReport, words: Iterable,
     of each path under "inconsistency" rather than hiding it.
 
     The checks pass every word up to the cap, in enumeration order, or
-    only the ``support_words`` of their tables, in the same order.  They
-    pass the support words when every family involved is homogeneous and
-    odd and, for a module or bimodule, its algebras pass b(B) on their
-    own support words up to the cap.  Each path then first fails at the
+    only the ``support_words`` of their tables, in the same order.  Every
+    table family is homogeneous and odd (its constructor refuses it
+    otherwise), so they pass the support words of an algebra, and of a
+    table module or bimodule whose algebras pass b(B) on their own support
+    words up to the cap.  Each path then first fails at the
     same word as on every word: b(B) vanishes off the support words, and
     B^2 is the coderivation whose one-letter component is b(B), so B^2 is
     nonzero on a word only if b(B) is nonzero on a subword, and a proper
@@ -252,50 +274,26 @@ def support_words(entries: Dict[Tuple[Word, Any, Word], Vector],
                 yield from group(h, n, batch)
 
 
-def _odd_family(entries: Dict, key_parity: Callable[[Any], int],
-                term_parity: Callable[[Any], int]) -> bool:
-    """Whether every term of every entry has the parity of its key plus
-    one, so that the family is homogeneous and odd.  A letter that names
-    no generator (KeyError), or an algebra term that is not one letter
-    (TypeError), makes it False."""
-    try:
-        for k, v in entries.items():
-            want = (key_parity(k) + 1) % 2
-            if any(term_parity(t) % 2 != want for t in v.terms):
-                return False
-    except (KeyError, TypeError):
-        return False
-    return True
-
-
-def _algebra_support(A: AInfAlgebra, cap: int) -> Optional[Iterator[Word]]:
-    """A's support words up to the cap, or None when b is not a
-    homogeneous odd family of letters."""
+def _algebra_support(A: AInfAlgebra, cap: int) -> Iterator[Word]:
+    """A's support words up to the cap."""
     entries = {(w, None, ()): v for w, v in A.b.table.items()}
-    if not _odd_family(entries, lambda k: A.word_parity(k[0]),
-                       lambda t: A.letter_parity(*t)):
-        return None
     return (w for w, _, _ in support_words(entries, A, None, (None,), cap))
 
 
 def _square_zero(A: AInfAlgebra, cap: int) -> bool:
-    """Whether b is homogeneous and odd and b(B) = 0 on every word up to
-    the cap (so that B^2 = 0 there), decided on A's support words."""
-    words = _algebra_support(A, cap)
-    return words is not None and all(
-        A.B(w).bind(A.b.apply).is_zero() for w in words)
+    """Whether b(B) = 0 on every word up to the cap (so that B^2 = 0
+    there), decided on A's support words."""
+    return all(A.B(w).bind(A.b.apply).is_zero()
+               for w in _algebra_support(A, cap))
 
 
 def check_algebra(A: AInfAlgebra, word_cap: int) -> CheckReport:
     """Structure relation b(B) = 0 and B^2 = 0 on words up to the cap,
-    plus the unit laws.  The words visited are A's support words when b
-    is homogeneous and odd, and every word up to the cap otherwise (see
+    plus the unit laws, decided on A's support words (see
     ``_structure_check``)."""
-    words = _algebra_support(A, word_cap)
     return _structure_check(
         CheckReport("algebra", "b(B) = 0 and B^2 = 0", word_cap),
-        A.words(word_cap) if words is None else words, A.B, A.b.apply,
-        check_unit_laws(A))
+        _algebra_support(A, word_cap), A.B, A.b.apply, check_unit_laws(A))
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +540,8 @@ class AInfModule(ModuleLike):
 
     The table maps (m, aword) to Vectors over module generator names; the
     component with k algebra letters is the (k+1)-ary operation (one module
-    letter plus k letters of A[1]), all of degree one.
+    letter plus k letters of A[1]), all of degree one; a table that is not
+    homogeneous and odd is refused with ValueError.
     """
 
     def __init__(self, algebra: AInfAlgebra, space: GradedSpace,
@@ -552,6 +551,9 @@ class AInfModule(ModuleLike):
         self.ring = algebra.ring
         self.arity_cap = arity_cap
         self.table = _module_entries(table, arity_cap)
+        _require_odd("b^M", self.table,
+                     lambda k: self.m_parity(k[0]) + algebra.word_parity(k[1]),
+                     self.m_parity)
 
     def m_parity(self, m) -> int:
         return self.space.parity(m)
@@ -602,16 +604,11 @@ def module_coderivation(M: ModuleLike, m, alpha: Word) -> Vector:
 def _module_support(M: ModuleLike, cap: int
                     ) -> Optional[Iterator[Tuple[Any, Word]]]:
     """A table module's support words (m, alpha) up to the cap, or None
-    when M has no table, its family is not homogeneous and odd, or its
-    algebra fails b(B) = 0 up to the cap."""
-    if not isinstance(M, AInfModule):
+    when M has no table or its algebra fails b(B) = 0 up to the cap."""
+    if not (isinstance(M, AInfModule) and _square_zero(M.algebra, cap)):
         return None
     A = M.algebra
     entries = {((), m, a): v for (m, a), v in M.table.items()}
-    if not (_odd_family(entries,
-                        lambda k: M.m_parity(k[1]) + A.word_parity(k[2]),
-                        M.m_parity) and _square_zero(A, cap)):
-        return None
     return ((m, a) for _, m, a in support_words(entries, None, A,
                                                   M.space.names, cap))
 
@@ -619,9 +616,8 @@ def _module_support(M: ModuleLike, cap: int
 def check_module(M: ModuleLike, cap: int) -> CheckReport:
     """Structure relation b^M(B^M) = 0 and (B^M)^2 = 0, two code paths.
     The words visited are M's support words when M is a table module
-    whose family and algebra are homogeneous and odd and whose algebra
-    passes b(B) = 0 up to the cap, and every word up to the cap otherwise
-    (see ``_structure_check``)."""
+    whose algebra passes b(B) = 0 up to the cap, and every word up to the
+    cap otherwise (see ``_structure_check``)."""
     words = _module_support(M, cap)
     return _structure_check(
         CheckReport("module", "b^M(B^M) = 0 and (B^M)^2 = 0", cap),
@@ -647,8 +643,7 @@ def check_module_units(M: ModuleLike, cap: int) -> CheckReport:
             return rep.fail(((m, (e,)), want, got))
         if isinstance(M, AInfModule):
             words = sorted((a for n, a in M.table if n == m
-                            and len(a) <= cap - wt
-                            and A.space.gens.keys() >= set(a)),
+                            and len(a) <= cap - wt),
                            key=_enumeration_key(A))
         else:
             words = A.words(cap - wt)
@@ -785,6 +780,10 @@ class BimoduleLike:
 
 
 class TableBimodule(BimoduleLike):
+    """A table-backed bimodule; the table maps (alpha, v, alpha2) to
+    Vectors over bimodule generator names, and one that is not homogeneous
+    and odd is refused with ValueError."""
+
     def __init__(self, left: AInfAlgebra, right: AInfAlgebra,
                  space: GradedSpace,
                  table: Dict[Tuple[Word, str, Word], Vector]):
@@ -794,6 +793,9 @@ class TableBimodule(BimoduleLike):
         self.ring = left.ring
         self.table = {(tuple(k[0]), k[1], tuple(k[2])): v
                       for k, v in table.items() if not v.is_zero()}
+        _require_odd("b^V", self.table,
+                     lambda k: left.word_parity(k[0]) + self.v_parity(k[1])
+                     + right.word_parity(k[2]), self.v_parity)
 
     def v_parity(self, v) -> int:
         return self.space.parity(v)
@@ -840,15 +842,10 @@ def bimodule_coderivation(V: BimoduleLike, alpha: Word, v, alpha2: Word) -> Vect
 def _bimodule_support(V: BimoduleLike, cap: int
                       ) -> Optional[Iterator[Tuple[Word, Any, Word]]]:
     """A table bimodule's support words up to the cap, or None when V has
-    no table, its family is not homogeneous and odd, or one of its
-    algebras fails b(B) = 0 up to the cap."""
-    if not isinstance(V, TableBimodule):
-        return None
+    no table or one of its algebras fails b(B) = 0 up to the cap."""
     A, A2 = V.left, V.right
-    if not (_odd_family(V.table, lambda k: A.word_parity(k[0])
-                        + V.v_parity(k[1]) + A2.word_parity(k[2]),
-                        V.v_parity)
-            and _square_zero(A, cap) and (A2 is A or _square_zero(A2, cap))):
+    if not (isinstance(V, TableBimodule) and _square_zero(A, cap)
+            and (A2 is A or _square_zero(A2, cap))):
         return None
     return support_words(V.table, A, A2, V.space.names, cap)
 
@@ -856,9 +853,8 @@ def _bimodule_support(V: BimoduleLike, cap: int
 def check_bimodule(V: BimoduleLike, cap: int) -> CheckReport:
     """Structure relation b^V(B^V) = 0 and (B^V)^2 = 0, two code paths.
     The words visited are V's support words when V is a table bimodule
-    whose family and algebras are homogeneous and odd and whose algebras
-    pass b(B) = 0 up to the cap, and every word up to the cap otherwise
-    (see ``_structure_check``)."""
+    whose algebras pass b(B) = 0 up to the cap, and every word up to the
+    cap otherwise (see ``_structure_check``)."""
     words = _bimodule_support(V, cap)
     return _structure_check(
         CheckReport("bimodule", "b^V(B^V) = 0 and (B^V)^2 = 0", cap),
@@ -889,9 +885,7 @@ def check_bimodule_units(V: BimoduleLike, cap: int) -> CheckReport:
         budget = cap - wt
         if isinstance(V, TableBimodule):
             words = sorted(((a, a2) for a, n, a2 in V.table if n == v
-                            and len(a) + len(a2) <= budget
-                            and A.space.gens.keys() >= set(a)
-                            and A2.space.gens.keys() >= set(a2)),
+                            and len(a) + len(a2) <= budget),
                            key=lambda p: (lkey(p[0]), rkey(p[1])))
         else:
             words = ((alpha, alpha2) for k in range(budget + 1)

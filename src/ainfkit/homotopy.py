@@ -34,8 +34,9 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from .adjoint import UAlgebra, UWord
 from .ainf import (AInfAlgebra, AInfMorphism, CurvedDga, HomElement,
                    ModuleLike, MultiOp, PairMap, TableBimodule,
-                   check_morphism, compose_hom, hom_differential, identity_hom,
-                   module_coderivation, module_words)
+                   check_module, check_morphism, compose_hom,
+                   hom_differential, identity_hom, module_coderivation,
+                   module_words)
 from .graded import GradedSpace, Vector, Word, cached, memoized, sign
 from .linalg import kernel_basis_field, solve_field
 from .qmod import TensorModule, check_ue_functor, ue_functor
@@ -944,7 +945,9 @@ def invert_homotopy(phi: HomElement, psi: HomElement, h: HomElement,
 
     produce (psi_hat, h_hat) with psi_hat closed up to the arity cap and
     1 - phi psi_hat - [B, h_hat] supported above the cap.  Stage failures
-    raise TheoremViolation with the obstruction as witness.
+    raise TheoremViolation with the obstruction as witness; a source or
+    target that fails ``check_module`` up to the cap, or a phi that is not
+    closed, raises ValueError.
 
     Every hom_differential of the call, including those of the stage
     extensions, takes the coderivation of its source module from one word
@@ -968,6 +971,11 @@ def invert_homotopy(phi: HomElement, psi: HomElement, h: HomElement,
     def d(x: HomElement) -> HomElement:
         return hom_differential(x, cap, source_B(x))
 
+    for side, S in (("source", M), ("target", N))[:1 if N is M else 2]:
+        structure = check_module(S, cap)
+        if not structure.passed:
+            raise ValueError("the %s must be a module: the module check "
+                             "fails at %r" % (side, structure.witness[0]))
     if d(phi).support_min() is not None:
         raise ValueError("the morphism to invert must be closed")
 

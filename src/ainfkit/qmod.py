@@ -23,13 +23,16 @@ adjunction transport below an isomorphism of hom complexes.
 
 B^Q and B^M are coderivations, H and epsilon are strict in the right word
 and lambda is lambda_0 (.) 1, so the difference of the two sides of each
-identity is a comodule map over the bar coalgebra of the base (for a
-homogeneous table), fixed by its component into the empty right word.  The
-checks compare that component on each word (t, beta) up to the cap rather
-than the whole images: b^Q on one pair at a time, never the coderivation
-B^Q.  Words come prefixes first, so the verdict and the first failing word are
-those of the whole-word comparison, and at that word the compared vectors
-differ by the whole difference of the two sides.
+identity is a comodule map over the bar coalgebra of the base, fixed by its
+component into the empty right word.  That needs H and epsilon homogeneous,
+of parities one and zero; they are, because every table family is
+homogeneous and odd and every unit even (``AInfAlgebra`` and ``AInfModule``
+refuse anything else).  The checks compare that component on each word
+(t, beta) up to the cap rather than the whole images: b^Q on one pair at a
+time, never the coderivation B^Q.  Words come prefixes first, so the verdict
+and the first failing word are those of the whole-word comparison, and at
+that word the compared vectors differ by the whole difference of the two
+sides.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .adjoint import UAlgebra, UeModule, UWord, module_to_ue
 from .ainf import (AInfModule, AInfMorphism, BimoduleLike, HomElement,
                    ModuleLike, head_apply, hom_differential,
                    module_coderivation, module_words)
-from .graded import Vector, Word, cached, memoized, sandwich, sign
+from .graded import Vector, Word, cached, memoized, sign
 from .report import FAIL, CheckReport
 
 TElem = Tuple[Any, Word, Any]   # (module letter, A[1]-word, bimodule letter)
@@ -233,31 +236,6 @@ def h_operator(Q: TensorModule, EM: UeModule, t: TElem, beta: Word) -> Vector:
     return out
 
 
-def _strict_defect(F0: Vector, t_parity: int, p: int,
-                   parity: Callable[[Any], int]) -> Vector:
-    """The multiples of x (.) B(beta) that B F - (-1)^p F B leaves on
-    (t, beta) for a strict map F = F0 (.) 1 of parity p, given F0(t) over
-    pairs (x, ()): c((-1)^|x| - (-1)^(p + |t|)) for each term c x, zero
-    when x has parity |t| + p.  Only an inhomogeneous table gives one."""
-    ring = F0.ring
-    out = Vector.zero(ring)
-    for x, c in F0.terms.items():
-        k = sign(parity(x[0])) - sign(p + t_parity)
-        if k:
-            out.add_term(x[0], ring.mul(ring.from_int(k), c))
-    return out
-
-
-def _right_boundary(A, vec: Vector, beta: Word) -> Vector:
-    """vec (.) B(beta) for a vector over head letters x: pairs (x, w)."""
-    out = Vector.zero(A.ring)
-    if vec.terms:
-        for w, c in sandwich(A.b, beta, A.letter_parity).terms.items():
-            for x, c2 in vec.terms.items():
-                out.add_term((x, w), A.ring.mul(c2, c))
-    return out
-
-
 def _heads(vec: Vector) -> Vector:
     """A vector over head letters as one over pairs (x, ())."""
     return vec.map_words(lambda x: (x, ()))
@@ -292,23 +270,19 @@ def check_epsilon_closed(Q: TensorModule, cap: int) -> CheckReport:
 
     On (t, beta) the check compares the components into the empty right
     word, b^M(epsilon_0(t), beta) against epsilon_0(b^Q(t, beta)), as
-    check_lambda_closed does; a term of epsilon_0(t) whose parity is not
-    |t| adds its uncancelled multiple of B(beta) (see _strict_defect)."""
+    check_lambda_closed does."""
     rep = CheckReport("epsilon-closed", "the counit projection is closed",
                       cap)
     M = Q.M
-    A = M.algebra
     R = Q.ring
     EM = module_to_ue(M)
     E = cached(lambda t: epsilon_operator(Q, EM, t, ()))
-    defect = cached(lambda t: _strict_defect(E(t), Q.m_parity(t), 0,
-                                             M.m_parity))
     with memoized(Q.V.U, "d_letter", "ue_differential"):
         for t, beta in module_words(Q, cap):
             lhs = Vector.zero(R)
             for (n, _), c in E(t).terms.items():
                 lhs.add_vector(M.b_apply(n, beta), c)
-            lhs = _heads(lhs) + _right_boundary(A, defect(t), beta)
+            lhs = _heads(lhs)
             rhs = Q.b_apply(t, beta).bind(E)
             if lhs != rhs:
                 rep.fail(((t, beta), rhs, lhs))
@@ -361,20 +335,15 @@ def check_q_homotopy(Q: TensorModule, cap: int) -> CheckReport:
         sum over c t' in h(t) of c b^Q(t', beta) + h(b^Q(t, beta))
             + epsilon_0(t) placed in the lambda slot with beta,
 
-    reduced, against t when beta is empty.  A term of h(t) whose parity is
-    not |t| + 1 adds its uncancelled multiple of B(beta) (see
-    _strict_defect)."""
+    reduced, against t when beta is empty."""
     rep = CheckReport("q-homotopy", "BH + HB = 1 - lambda epsilon "
                       "on the reduced word space", cap)
     EM = module_to_ue(Q.M)
-    A = Q.algebra
     R = Q.ring
     eta = Q.M.algebra.eta
     bQ = cached(lambda p: Q.b_apply(p[0], p[1]))
     H = cached(lambda t: h_operator(Q, EM, t, ()))
     E = cached(lambda t: epsilon_operator(Q, EM, t, ()))
-    defect = cached(lambda t: _strict_defect(H(t), Q.m_parity(t), 1,
-                                             Q.m_parity))
     with memoized(Q.V.U, "d_letter", "ue_differential"):
         for t, beta in module_words(Q, cap):
             if eta in t[1]:
@@ -385,7 +354,7 @@ def check_q_homotopy(Q: TensorModule, cap: int) -> CheckReport:
             got = _heads(got) + bQ((t, beta)).bind(H)
             for (m2, _), c in E(t).terms.items():
                 got.add_term(((m2, beta, ()), ()), c)
-            got = reduce_middle(Q, got + _right_boundary(A, defect(t), beta))
+            got = reduce_middle(Q, got)
             want = Vector.zero(R) if beta else Vector.basis(R, (t, ()))
             if got != want:
                 rep.fail(((t, beta), want, got))

@@ -526,6 +526,13 @@ class MatrixFactorization:
     def basis_parity(self, i: int) -> int:
         return 0 if i < self.even_rank else 1
 
+    def is_odd(self) -> bool:
+        """Whether d has no nonzero parity-preserving entry."""
+        n = self.rank
+        return all(self.ring.is_zero(self.d[i][j])
+                   for i in range(n) for j in range(n)
+                   if self.basis_parity(i) == self.basis_parity(j))
+
     def square(self) -> List[List[Any]]:
         n = self.rank
         return [[self._dot(i, j) for j in range(n)] for i in range(n)]
@@ -561,8 +568,9 @@ def mf_module(F: MatrixFactorization, arity_cap: int = 4) -> AInfModule:
 
 
 def mf_check(F: MatrixFactorization, cap: int = 3) -> CheckReport:
-    """d^2 = W.Id entrywise, and the companion module passes the module
-    axioms over the rank-one curved algebra; the two verdicts must agree."""
+    """d^2 = W.Id entrywise, d odd, and the companion module passes the
+    module axioms over the rank-one curved algebra; the two verdicts must
+    agree.  The module is built only for an odd d."""
     rep = CheckReport("matrix-factorization",
                       "d^2 = W.Id and the companion curved module is "
                       "valid", cap)
@@ -577,18 +585,21 @@ def mf_check(F: MatrixFactorization, cap: int = 3) -> CheckReport:
                 if rep.verdict == PASS:
                     rep.fail((("entry", i, j), want, sq[i][j]))
     rep.details["square_identity"] = PASS if square_ok else FAIL
-    odd_ok = all(ring.is_zero(F.d[i][j])
-                 for i in range(F.rank) for j in range(F.rank)
-                 if F.basis_parity(i) == F.basis_parity(j))
+    odd_ok = F.is_odd()
     rep.details["odd_operator"] = PASS if odd_ok else FAIL
-    if not odd_ok:
+    if odd_ok:
+        inner = check_module(mf_module(F), cap)
+        rep.details["module_axioms"] = inner.verdict
+    else:
+        # the companion module's family would not be odd, which AInfModule
+        # refuses, so it fails the module axioms unbuilt
         rep.fail(("d has a parity-preserving entry", None, None))
-    inner = check_module(mf_module(F), cap)
-    rep.details["module_axioms"] = inner.verdict
-    agree = (inner.verdict == PASS) == (square_ok and odd_ok)
+        rep.details["module_axioms"] = FAIL
+    module_ok = rep.details["module_axioms"] == PASS
+    agree = module_ok == (square_ok and odd_ok)
     rep.details["paths_agree"] = agree
     if not agree:
         rep.verdict = FAIL
-    elif inner.verdict != PASS and rep.verdict == PASS:
+    elif not module_ok and rep.verdict == PASS:
         rep.fail(inner.witness)
     return rep

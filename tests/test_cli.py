@@ -251,6 +251,22 @@ def test_mf_check_pass_and_fail(write, capsys):
     assert "broken" in out and "FAIL" in out
 
 
+def test_mf_check_fails_a_parity_preserving_d_without_its_module(
+        write, capsys):
+    # such a d has no odd companion module: both targets fail with the
+    # parity witness, and nothing is built
+    doc = copy.deepcopy(DOC_MF)
+    doc["factorizations"]["F"]["d"] = [[[[[1], "1"]], "0"],
+                                       ["0", [[[1], "1"]]]]
+    code, out = run(capsys, "mf-check", write(doc))
+    assert code == 1
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines[::2]] \
+        == ["factorization:F", "factorization:F:module"]
+    assert lines[1] == lines[3] \
+        == "  witness: ('d has a parity-preserving entry', None, None)"
+
+
 def test_mc_test_decides_both_ways(write, capsys):
     code, out = run(capsys, "mc-test", write(DOC_MC))
     assert code == 0
@@ -329,6 +345,20 @@ def test_invert_homotopy_pass_and_violation(write, capsys):
     code, out = run(capsys, "invert-homotopy", write(bad, "b.json"))
     assert code == 1
     assert "stage" in out and "arity 0" in out
+
+
+def test_invert_homotopy_refuses_a_structure_that_is_not_a_module(
+        write, capsys):
+    # x.e = -5x breaks the unit law, so M is not a module
+    doc = copy.deepcopy(DOC_BIMODULE)
+    doc["modules"]["M"]["table"][0]["out"] = [["x", "5"]]
+    path = write(doc)
+    code, out = run(capsys, "check-module", path)
+    assert code == 1 and "FAIL" in out
+    code, out = run(capsys, "invert-homotopy", path)
+    assert code == 0
+    assert "[UNSUPPORTED] homotopy-inversion (the source must be a " \
+        "module: the module check fails at 'unit-laws'; cap=4)" in out
 
 
 # ---------------------------------------------------------- determinism
@@ -581,6 +611,8 @@ MF = (DOC_MF, "mf-check")
                       "table": [{"m": "x", "word": ["e"],
                                  "out": [["x", "1"]]}]}),
      "hom element 'zeroh': entry word ('e',) has 1 letters, beyond cap 0"),
+    (INVERSION, _set(("spaces", "A"), [["e", 1]]),
+     "algebra 'T': unit 'e' has odd degree 1"),
 ], ids=["coefficient-abc", "missing-space", "degree-x", "float-coefficient",
         "bool-coefficient", "float-arity-cap", "grading-not-an-object",
         "algebras-a-list", "spaces-a-list", "ring-an-integer",
@@ -594,7 +626,7 @@ MF = (DOC_MF, "mf-check")
         "inversion-psi-wrong-way", "augmentation-unit-unchecked",
         "hom-element-across-algebras", "negative-factorization-rank",
         "augmentation-unknown-generator", "module-entry-beyond-cap",
-        "hom-element-entry-beyond-cap"])
+        "hom-element-entry-beyond-cap", "odd-unit"])
 def test_malformed_document_exits_2_naming_the_entity(write, base, mutate,
                                                       entity):
     doc, command = base

@@ -1,27 +1,28 @@
 """The letter decision of check_u_curvature and the per-call caches of
 kp_contraction and invert_homotopy, against their whole-word references.
 
-check_u_curvature decides d^2 = [c, -] on letters when c is even and d odd
-on letters, and enumerates every uword otherwise or after a letter fails;
+check_u_curvature decides d^2 = [c, -] on letters unless d is the
+full-Delta mutant, and enumerates every uword then or after a letter fails;
 kp_contraction checks [B, G] = 1 through word maps cached for the call;
 invert_homotopy keeps one cached B^M per module for the call.  The
 functions below keep the uncached forms they replaced.  The seeded tests
-run both forms on valid inputs, one-term mutants, full-Delta mutants and
-wrong-parity mutants and assert equal reports (and, for the inversion,
-equal results or equal exceptions).
+run both forms on valid inputs, one-term mutants and full-Delta mutants and
+assert equal reports (and, for the inversion, equal results or equal
+exceptions).  Wrong-parity mutants cannot be built, and an inversion
+between structures that are not modules is refused.
 """
 
 import random
+import re
 
 import pytest
 
-from ainfkit import adjoint
 from ainfkit.adjoint import UAlgebra, check_u_curvature
-from ainfkit.ainf import (AInfAlgebra, AInfModule, HomElement, compose_hom,
-                          hom_differential, identity_hom,
-                          module_coderivation, module_words)
+from ainfkit.ainf import (AInfAlgebra, AInfModule, HomElement,
+                          check_module, compose_hom, hom_differential,
+                          identity_hom, module_coderivation, module_words)
 from ainfkit.fixtures import random_hom_perturbation, random_scalar
-from ainfkit.graded import GradedSpace, MultiOp, Vector, memoized
+from ainfkit.graded import MultiOp, Vector, memoized
 from ainfkit.homotopy import (ObstructionElement, ObstructionWitness, TheoremViolation,
                               _require_uncurved, _solve_multi, arity_part,
                               extend_morphism, invert_homotopy)
@@ -29,7 +30,7 @@ from ainfkit.report import FAIL, PASS, CheckReport
 from ainfkit.vanish import (FOUND, UnsupportedStructure, detect_augmentation,
                             h_operator, kp_contraction, perturbation_series)
 
-from test_q_head_components import parity_mutant
+from test_q_head_components import assert_parity_refused
 from test_word_cache import (algebra_cases, inversion_case, module_cases,
                              module_mutant, twisted_inversion)
 
@@ -171,10 +172,10 @@ def reference_invert_homotopy(phi, psi, h, ell, cap):
 # random data
 
 
-def algebra_parity_mutant(A, rng):
-    """A with a term of its input's own parity added to b on a random word
-    of one or two letters: d then misses the parity of the letters holding
-    that word, so the letter decision does not apply."""
+def assert_algebra_parity_refused(A, rng):
+    """Adding to b a term of its input's own parity, on a random word of
+    one or two letters, makes a family that AInfAlgebra refuses, naming
+    the word."""
     words = [w for w in A.shift.words(2, min_len=1)
              if any(A.shift.parity(y) == A.word_parity(w)
                     for y in A.shift.names)]
@@ -184,13 +185,13 @@ def algebra_parity_mutant(A, rng):
     b = MultiOp(A.ring, 1, A.b.arity_cap, dict(A.b.table))
     b.set(w, b.apply(w) + Vector.basis(A.ring, (y,),
                                        random_scalar(A.ring, rng, True)))
-    return AInfAlgebra(A.space, A.unit, b)
+    with pytest.raises(ValueError, match=re.escape("b entry %r:" % (w,))):
+        AInfAlgebra(A.space, A.unit, b)
 
 
 def curvature_cases(seed):
-    """A twisted dga, its one-term mutant and a wrong-parity mutant."""
-    tw, bad = algebra_cases(seed)[:2]
-    return [tw, bad, algebra_parity_mutant(tw, random.Random(seed))]
+    """A twisted dga and its one-term mutant."""
+    return algebra_cases(seed)[:2]
 
 
 def hom_mutant(phi, rng):
@@ -212,15 +213,15 @@ def hom_mutant(phi, rng):
 
 def inversion_cases(seed, cap):
     """Inversions of a twisted identity: on a seeded uncurved module, on
-    its one-term and wrong-parity mutants, with phi or psi given one more
-    term, with a random h, and into a second module object equal to the
-    first."""
+    its one-term mutant, with phi or psi given one more term, with a random
+    h, and into a second module object equal to the first.  The module's
+    wrong-parity mutant is refused on the way."""
     valid = inversion_case(seed, cap)
     phi, psi0, hz, _ = valid
     M = phi.source
     rng = random.Random(seed)
-    out = [valid] + [twisted_inversion(N, rng, cap)
-                     for N in (module_mutant(M, rng), parity_mutant(M, rng))]
+    out = [valid, twisted_inversion(module_mutant(M, rng), rng, cap)]
+    assert_parity_refused(M, rng)
     out.append((hom_mutant(phi, rng), psi0, hz, hz))
     out.append((phi, hom_mutant(psi0, rng), hz, hz))
     out.append((phi, psi0, random_hom_perturbation(M, rng, cap), hz))
@@ -264,7 +265,9 @@ def test_letter_decision_matches_the_uword_reference(monkeypatch):
     monkeypatch.setattr(UAlgebra, "uwords", recording)
     seen = {}
     for seed in range(16):
-        for kind, A in enumerate(curvature_cases(seed)):
+        cases = curvature_cases(seed)
+        assert_algebra_parity_refused(cases[0], random.Random(seed))
+        for kind, A in enumerate(cases):
             for cap in (2, 3, 4):
                 for full_delta in (False, True):
                     U = UAlgebra(A)
@@ -275,14 +278,13 @@ def test_letter_decision_matches_the_uword_reference(monkeypatch):
                         U, cap, full_delta).to_dict(), (seed, kind, cap)
                     seen.setdefault((kind, full_delta), set()).add(
                         rep.verdict)
-                    # a PASS of a valid table visits letters only; the
-                    # full-Delta and wrong-parity mutants fail the parity
-                    # guard and enumerate uwords
-                    assert fallback == (full_delta or kind == 2
+                    # a PASS visits letters only; the full-Delta mutant
+                    # and a failing letter enumerate uwords
+                    assert fallback == (full_delta
                                         or not rep.passed), (seed, kind)
     assert seen[(0, False)] == {PASS}
-    assert seen[(0, True)] == seen[(2, True)] == {FAIL}
-    assert FAIL in seen[(1, False)] and FAIL in seen[(2, False)]
+    assert seen[(0, True)] == {FAIL}
+    assert FAIL in seen[(1, False)]
 
 
 def test_a_curvature_pass_visits_letters_only(monkeypatch):
@@ -308,19 +310,6 @@ def test_a_curvature_pass_visits_letters_only(monkeypatch):
         assert letters <= set(args) <= letters | reached
 
 
-def test_the_parity_guard_reads_the_unit_letter():
-    # an odd unit generator makes omega[eta] odd, so normal forms would
-    # change parities: the letter decision is not taken
-    A = curvature_cases(0)[0]
-    space = GradedSpace(A.ring, A.space.grading,
-                        [(n, d + (n == A.unit))
-                         for n, d in A.space.gens.items()])
-    U = UAlgebra(AInfAlgebra(space, A.unit, A.b))
-    assert not adjoint._odd_differential(U, U.curvature(), 3)
-    assert check_u_curvature(U, 3).to_dict() \
-        == reference_u_curvature(U, 3).to_dict()
-
-
 def test_cached_contraction_matches_the_whole_vector_reference():
     seen = {}
     for seed in range(16):
@@ -329,8 +318,8 @@ def test_cached_contraction_matches_the_whole_vector_reference():
         if search.status != FOUND:
             continue
         aug = search.augmentation
-        for kind, N in enumerate((M, scaled,
-                                  parity_mutant(M, random.Random(seed)))):
+        assert_parity_refused(M, random.Random(seed))
+        for kind, N in enumerate((M, scaled)):
             for cap in (2, 3, 4):
                 G, rep = kp_contraction(N, aug, cap)
                 G_ref, ref = reference_kp_contraction(N, aug, cap)
@@ -340,17 +329,27 @@ def test_cached_contraction_matches_the_whole_vector_reference():
                     v = Vector.basis(N.ring, word)
                     assert G(v) == G_ref(v)
     assert seen[0] == {PASS}
-    assert FAIL in seen[1] and FAIL in seen[2]
+    assert FAIL in seen[1]
 
 
 @pytest.mark.parametrize("seed", range(16))
 def test_cached_inversion_matches_the_uncached_reference(seed):
     cap = 2 + seed % 3
     outcomes = []
-    for args in inversion_cases(seed, cap):
+    for i, args in enumerate(inversion_cases(seed, cap)):
         got = inversion_outcome(invert_homotopy, args, cap)
-        assert got == inversion_outcome(reference_invert_homotopy, args,
-                                        cap), seed
+        modules = [check_module(S, cap).passed
+                   for S in (args[0].source, args[0].target)]
+        if i == 1:
+            # the one-term module mutant is not a module, so its inversion
+            # is refused before any stage
+            assert modules == [False, False], seed
+            assert got[0] == "ValueError", got
+            assert got[1].startswith("the source must be a module"), got
+        else:
+            assert modules == [True, True], (seed, i)
+            assert got == inversion_outcome(reference_invert_homotopy,
+                                            args, cap), (seed, i)
         outcomes.append(got)
     # the valid inversion passes, also into a second module object
     assert outcomes[0][2]["verdict"] == PASS

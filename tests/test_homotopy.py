@@ -398,15 +398,18 @@ def test_exactness_undecided_over_the_integers():
 
 def _random_table_module(rng, A, gens):
     """A table module over A with random entries of arity <= 2 and no
-    relation imposed: the stage maps are linear in the tables."""
+    relation imposed: the stage maps are linear in the tables.  Each
+    entry keeps its drawn terms of the parity of its key plus one."""
     table = {}
-    for m, _ in gens:
+    for m, dm in gens:
         for ln in range(3):
             for w in itertools.product(A.shift.names, repeat=ln):
                 val = Vector(F5)
-                for y, _ in gens:
+                for y, dy in gens:
                     if rng.random() < 0.5:
-                        val.add_term(y, rng.randrange(1, 5))
+                        c = rng.randrange(1, 5)
+                        if (dy - dm - A.word_parity(w)) % 2:
+                            val.add_term(y, c)
                 table[(m, w)] = val
     return AInfModule(A, GradedSpace(F5, Grading(2), gens), table, 2)
 
@@ -423,10 +426,14 @@ def test_stage_columns_match_hom_differential_of_unit_homs(seed):
     rng = random.Random(seed)
     sp = GradedSpace(F5, Grading(2), [("e", 0), ("a", 0), ("b", 1)])
     b = MultiOp(F5, 1, 2)
+    shift = sp.shifted()
     for ln in (1, 2):
         for w in itertools.product(sp.names, repeat=ln):
-            b.set(w, Vector(F5, {(y,): rng.randrange(5)
-                                 for y in sp.names}))
+            # the drawn terms of the parity of w plus one
+            terms = {(y,): rng.randrange(5) for y in sp.names}
+            b.set(w, Vector(F5, {y: c for y, c in terms.items()
+                                 if shift.parity(y[0])
+                                 != shift.word_parity(w)}))
     A = AInfAlgebra(sp, "e", b)
     M = _random_table_module(rng, A, [("x", 0), ("y", 1)])
     N = _random_table_module(rng, A, [("p", 0), ("q", 1), ("r", 1)])

@@ -1,15 +1,18 @@
 """The head-component Q ~ 1 checks against their whole-word references.
 
 check_q_homotopy, check_lambda_closed and check_epsilon_closed compare, on
-each word, the component of their identity into the empty right word (plus,
-for an inhomogeneous table, the uncancelled multiples of B(beta)).  The
+each word, the component of their identity into the empty right word.  The
 functions below keep the whole-word comparisons they replaced.  The seeded
-test runs both forms on module_pqab modules, on one-term scaled mutants and
-on wrong-parity mutants and asserts the same verdict, the same first
-failing word and the same difference of the two sides there.
+test runs both forms on module_pqab modules and on one-term scaled mutants
+and asserts the same verdict, the same first failing word and the same
+difference of the two sides there.  A wrong-parity mutant, on which the
+head component would not decide the identity, cannot be built.
 """
 
 import random
+import re
+
+import pytest
 
 from ainfkit.adjoint import module_to_ue
 from ainfkit.ainf import AInfModule, module_coderivation, module_words
@@ -90,8 +93,8 @@ def reference_q_homotopy(Q, cap):
 
 
 def parity_mutant(M, rng):
-    """M with one table entry given a term of its input's own parity, the
-    parity a degree-one family never reaches."""
+    """M's table with one entry given a term of its input's own parity,
+    the parity a degree-one family never reaches, and that entry's key."""
     R = M.ring
     m, alpha = rng.choice(sorted(M.table))
     want = (M.m_parity(m) + M.algebra.word_parity(alpha)) % 2
@@ -99,13 +102,15 @@ def parity_mutant(M, rng):
     table = dict(M.table)
     table[(m, alpha)] = table[(m, alpha)] + Vector.basis(
         R, n, random_scalar(R, rng, True))
-    return AInfModule(M.algebra, M.space, table, M.arity_cap)
+    return table, (m, alpha)
 
 
-def all_cases(seed):
-    """module_pqab, its scaled mutant and a wrong-parity mutant."""
-    M, scaled = module_cases(seed)
-    return [M, scaled, parity_mutant(M, random.Random(seed))]
+def assert_parity_refused(M, rng):
+    """Building M's wrong-parity mutant raises ValueError naming the
+    mutated entry."""
+    table, key = parity_mutant(M, rng)
+    with pytest.raises(ValueError, match=re.escape("b^M entry %r:" % (key,))):
+        AInfModule(M.algebra, M.space, table, M.arity_cap)
 
 
 CHECKS = ((check_q_homotopy, reference_q_homotopy),
@@ -132,13 +137,14 @@ def test_head_components_match_the_whole_word_references():
     seen = {}
     for seed in range(9):
         cap = 2 + seed % 3
-        for kind, M in enumerate(all_cases(seed)):
+        for kind, M in enumerate(module_cases(seed)):
             Q = q_module(M)
             for check, reference in CHECKS:
                 rep = check(Q, cap)
                 same_outcome(rep, reference(Q, cap))
                 seen.setdefault((check.__name__, kind), set()).add(
                     rep.verdict)
+        assert_parity_refused(module_cases(seed)[0], random.Random(seed))
     # the unit inclusion is closed for every module table (its packing
     # terms cancel pairwise); the other checks meet both verdicts on the
     # mutants, so neither form agrees vacuously
@@ -146,17 +152,4 @@ def test_head_components_match_the_whole_word_references():
         if name == "check_lambda_closed" or kind == 0:
             assert verdicts == {PASS}, (name, kind, verdicts)
     for name in ("check_q_homotopy", "check_epsilon_closed"):
-        assert FAIL in seen[(name, 1)] | seen[(name, 2)], name
-
-
-def test_parity_defect_is_part_of_the_witness():
-    # a wrong-parity action entry makes epsilon_0 inhomogeneous; the
-    # uncancelled multiple of B(beta) it leaves (beta is empty here, and
-    # B(beta) the curvature) is part of the difference at the first
-    # failing word
-    Q = q_module(all_cases(7)[2])
-    rep = check_epsilon_closed(Q, 2)
-    diff = rep.witness[2] - rep.witness[1]
-    assert rep.witness[0][1] == ()
-    assert any(beta for (t, beta) in diff.terms)
-    same_outcome(rep, reference_epsilon_closed(Q, 2))
+        assert FAIL in seen[(name, 1)], name

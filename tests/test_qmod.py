@@ -29,7 +29,7 @@ from ainfkit.report import FAIL, PASS, CheckReport
 from ainfkit.rings import IntegersMod
 
 from test_homotopy import homotopic_pair
-from test_q_head_components import all_cases
+from test_q_head_components import assert_parity_refused
 from test_word_cache import module_cases
 
 F7 = IntegersMod(7)
@@ -263,37 +263,26 @@ def test_homotopy_weight_bookkeeping():
 
 def test_q_checks_take_no_whole_word_path(monkeypatch):
     # the Q ~ 1 checks compare head components: B^Q is never applied to a
-    # whole word, and B of the right word is formed only for the
-    # uncancelled terms of an inhomogeneous table
-    whole, boundary = [0], [0]
-    coderivation, sandwich = qmod.module_coderivation, qmod.sandwich
+    # whole word; a wrong-parity table, on which the head component would
+    # not decide the identity, is refused when the module is built
+    whole = [0]
+    coderivation = qmod.module_coderivation
 
     def counting_coderivation(M, *args):
         whole[0] += isinstance(M, TensorModule)
         return coderivation(M, *args)
 
-    def counting_sandwich(*args):
-        boundary[0] += 1
-        return sandwich(*args)
-
     monkeypatch.setattr(qmod, "module_coderivation", counting_coderivation)
-    monkeypatch.setattr(qmod, "sandwich", counting_sandwich)
-    verdicts, inhomogeneous = set(), 0
+    verdicts = set()
     for seed in range(4, 8):
-        *homogeneous, wrong_parity = all_cases(seed)
-        for N in homogeneous + [wrong_parity]:
+        for N in module_cases(seed):
             Q = q_module(N)
             for check in (check_q_homotopy, check_lambda_closed,
                           check_epsilon_closed):
-                boundary[0] = 0
                 verdicts.add(check(Q, 3).verdict)
-                if N is wrong_parity:
-                    inhomogeneous += boundary[0]
-                else:
-                    assert boundary[0] == 0, (seed, check.__name__)
+        assert_parity_refused(module_cases(seed)[0], random.Random(seed))
     assert verdicts == {"PASS", "FAIL"}
     assert whole[0] == 0
-    assert inhomogeneous > 0
 
 
 # ---------------------------------------------------------------------------

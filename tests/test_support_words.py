@@ -1,17 +1,21 @@
 """The structure checks on support words against the full enumeration.
 
-check_algebra, check_module and check_bimodule visit only the support
-words of their tables when every family is homogeneous and odd (and the
-base algebras pass), and check_module_units and check_bimodule_units visit
-only the table entries.  The functions below keep the enumeration of every
-word up to the cap.  The seeded tests run both forms over Z/7 and Q at
-caps 2-5 and assert equal reports, on valid structures, on random tables,
-on one-term mutants of the right parity, on wrong-parity mutants (where
-the full enumeration must run), on modules and bimodules over a mutated
-algebra, and on a TensorModule and a UeBimodule, which have no table.
+check_algebra visits only the support words of its table, check_module and
+check_bimodule do so for a table whose base algebras pass, and
+check_module_units and check_bimodule_units visit only the table entries.
+The functions below keep the enumeration of every word up to the cap.  The
+seeded tests run both forms over Z/7 and Q at caps 2-5 and assert equal
+reports, on valid structures, on random tables, on one-term mutants of the
+right parity, on modules and bimodules over a mutated algebra, and on a
+TensorModule and a UeBimodule, which have no table.  One-term mutants of
+the wrong parity cannot be built: the constructors refuse them, naming the
+mutated entry.
 """
 
 import random
+import re
+
+import pytest
 
 from ainfkit import ainf
 from ainfkit.ainf import (AInfAlgebra, AInfModule, TableBimodule,
@@ -113,9 +117,10 @@ def term(rng, R, names, parity_of, want):
         if ns else None
 
 
-def algebra_mutant(A, rng, odd=True):
-    """A plus one term at a random unit-free word (the empty one included),
-    of the parity a degree-one family reaches, or of the other one."""
+def family_mutant(A, rng, odd=True):
+    """A's b plus one term at a random unit-free word (the empty one
+    included), of the parity a degree-one family reaches, or of the other
+    one; and that word."""
     S = A.shift
     words = [w for w in S.words(A.arity_cap) if A.eta not in w]
     while True:
@@ -125,12 +130,24 @@ def algebra_mutant(A, rng, odd=True):
             break
     b = MultiOp(A.ring, 1, A.arity_cap, dict(A.b.table))
     b.set(w, b.apply(w) + t.map_words(lambda x: (x,)))
-    return AInfAlgebra(A.space, A.unit, b)
+    return b, w
+
+
+def algebra_mutant(A, rng):
+    """A with a one-term mutant of b of the right parity."""
+    return AInfAlgebra(A.space, A.unit, family_mutant(A, rng)[0])
+
+
+def refused(build, family, key):
+    """Building the structure raises ValueError naming the entry."""
+    with pytest.raises(ValueError,
+                       match=re.escape("%s entry %r:" % (family, key))):
+        build()
 
 
 def table_mutant(table, rng, keys, names, parity_of, key_parity, odd=True):
     """The table plus one term, of the parity a degree-one family reaches
-    or of the other one, at a random key among ``keys``."""
+    or of the other one, at a random key among ``keys``; and that key."""
     R = next(iter(table.values())).ring
     while True:
         k = rng.choice(keys)
@@ -139,7 +156,7 @@ def table_mutant(table, rng, keys, names, parity_of, key_parity, odd=True):
             break
     out = dict(table)
     out[k] = out.get(k, Vector.zero(R)) + t
-    return out
+    return out, k
 
 
 def random_module(A, rng, density=0.4, cap=3):
@@ -183,9 +200,9 @@ def random_bimodule(A, rng, density=0.4, cap=2):
 
 
 def module_variants(M, rng):
-    """M's one-term mutant of the right parity and its wrong-parity mutant
-    (at a unit-free key with at most two algebra letters), and M over a
-    mutated algebra."""
+    """M's one-term mutant of the right parity, the table and key of its
+    wrong-parity mutant (at a unit-free key with at most two algebra
+    letters), and M over a mutated algebra."""
     A = M.algebra
 
     def key_parity(k):
@@ -195,19 +212,20 @@ def module_variants(M, rng):
             if A.eta not in a]
 
     def mutant(odd):
-        return AInfModule(A, M.space, table_mutant(
-            M.table, rng, keys, M.space.names, M.m_parity, key_parity, odd),
-            M.arity_cap)
+        return table_mutant(M.table, rng, keys, M.space.names, M.m_parity,
+                            key_parity, odd)
 
-    return (mutant(True), mutant(False),
+    return (AInfModule(A, M.space, mutant(True)[0], M.arity_cap),
+            mutant(False),
             AInfModule(algebra_mutant(A, rng), M.space, M.table,
                        M.arity_cap))
 
 
 def bimodule_variants(V, rng):
-    """V's one-term mutant of the right parity and its wrong-parity mutant
-    (at a unit-free key with at most two algebra letters), V over a mutated
-    left algebra and V over a mutated right one."""
+    """V's one-term mutant of the right parity, the table and key of its
+    wrong-parity mutant (at a unit-free key with at most two algebra
+    letters), V over a mutated left algebra and V over a mutated right
+    one."""
     A, A2 = V.left, V.right
 
     def key_parity(k):
@@ -218,10 +236,10 @@ def bimodule_variants(V, rng):
             if A.eta not in a and A2.eta not in a2]
 
     def mutant(odd):
-        return TableBimodule(A, A2, V.space, table_mutant(
-            V.table, rng, keys, V.space.names, V.v_parity, key_parity, odd))
+        return table_mutant(V.table, rng, keys, V.space.names, V.v_parity,
+                            key_parity, odd)
 
-    return (mutant(True), mutant(False),
+    return (TableBimodule(A, A2, V.space, mutant(True)[0]), mutant(False),
             TableBimodule(algebra_mutant(A, rng), A2, V.space, V.table),
             TableBimodule(A, algebra_mutant(A2, rng), V.space, V.table))
 
@@ -276,18 +294,19 @@ def test_algebra_support_matches_the_full_enumeration(monkeypatch):
         cap = 2 + seed % 4
         tw, _ = twisted(R, rng, seed % 3 != 0)
         table = random_unital_table(R, 3, 3, rng)
-        for kind, A, odd in (
-                ("twisted", tw, True),
-                ("dga", valid_dga(R, rng).algebra, True),
-                ("random", table, True),
-                ("mutant", algebra_mutant(tw, rng), True),
-                ("random-mutant", algebra_mutant(table, rng), True),
-                ("wrong-parity", algebra_mutant(tw, rng, False), False)):
+        for kind, A in (
+                ("twisted", tw),
+                ("dga", valid_dga(R, rng).algebra),
+                ("random", table),
+                ("mutant", algebra_mutant(tw, rng)),
+                ("random-mutant", algebra_mutant(table, rng))):
             compare(check_algebra, reference_algebra, A, cap, calls,
-                    (None,), odd, seen, kind)
+                    (None,), True, seen, kind)
+        b, w = family_mutant(tw, rng, False)
+        refused(lambda: AInfAlgebra(tw.space, tw.unit, b), "b", w)
     # twisted algebras are exact up to arity 4, so they may fail at cap 5
     assert seen["dga"] == {PASS} and PASS in seen["twisted"]
-    for kind in ("random", "mutant", "random-mutant", "wrong-parity"):
+    for kind in ("random", "mutant", "random-mutant"):
         assert FAIL in seen[kind], kind
 
 
@@ -302,10 +321,11 @@ def test_module_support_matches_the_full_enumeration(monkeypatch):
         rand = random_module(valid_dga(R, rng).algebra, rng)
         heads = tuple(M.space.names)
         for name, N in (("pqab", M), ("random", rand)):
-            mutant, wrong, over_mutant = module_variants(N, rng)
+            mutant, (table, key), over_mutant = module_variants(N, rng)
+            refused(lambda: AInfModule(N.algebra, N.space, table,
+                                       N.arity_cap), "b^M", key)
             for kind, P, supported in (
                     (name, N, True), (name + "-mutant", mutant, True),
-                    ("wrong-parity", wrong, False),
                     ("over-mutant", over_mutant,
                      passes(over_mutant.algebra, cap))):
                 compare(check_module, reference_module, P, cap, calls,
@@ -314,8 +334,7 @@ def test_module_support_matches_the_full_enumeration(monkeypatch):
             compare(check_module, reference_module, q_module(M), cap,
                     calls, heads, False, seen, "tensor")
     assert seen["pqab"] == seen["tensor"] == {PASS}
-    for kind in ("random", "pqab-mutant", "random-mutant", "wrong-parity",
-                 "over-mutant"):
+    for kind in ("random", "pqab-mutant", "random-mutant", "over-mutant"):
         assert FAIL in seen[kind], kind
 
 
@@ -332,10 +351,12 @@ def test_bimodule_support_matches_the_full_enumeration(monkeypatch):
         rand = random_bimodule(D.algebra, rng)
         for name, V in (("diagonal", diag), ("random", rand)):
             heads = tuple(V.space.names)
-            mutant, wrong, over_left, over_right = bimodule_variants(V, rng)
+            mutant, (table, key), over_left, over_right = \
+                bimodule_variants(V, rng)
+            refused(lambda: TableBimodule(V.left, V.right, V.space, table),
+                    "b^V", key)
             for kind, W, supported in (
                     (name, V, True), (name + "-mutant", mutant, True),
-                    ("wrong-parity", wrong, False),
                     ("over-mutant", over_left, passes(over_left.left, cap)),
                     ("over-mutant", over_right,
                      passes(over_right.right, cap))):
@@ -346,7 +367,7 @@ def test_bimodule_support_matches_the_full_enumeration(monkeypatch):
                     UeBimodule(D.algebra), cap, calls, (), False, seen, "ue")
     assert seen["diagonal"] == seen["ue"] == {PASS}
     for kind in ("random", "diagonal-mutant", "random-mutant",
-                 "wrong-parity", "over-mutant"):
+                 "over-mutant"):
         assert FAIL in seen[kind], kind
 
 
@@ -369,7 +390,8 @@ def test_bimodule_groups_compare_alpha_before_the_right_length():
 
 
 def test_units_visit_the_table_entries():
-    """Unit-law mutants: a term at a word holding the unit letter."""
+    """Unit-law mutants: a term of the right parity at a word holding the
+    unit letter."""
     seen = set()
     for seed in range(12):
         rng = random.Random(seed)
@@ -380,7 +402,8 @@ def test_units_visit_the_table_entries():
         table = dict(M.table)
         alpha = rng.choice([a for a in A.words(3, min_len=2) if e in a])
         m = rng.choice(M.space.names)
-        table[(m, alpha)] = Vector.basis(R, m, random_scalar(R, rng, True))
+        table[(m, alpha)] = term(rng, R, M.space.names, M.m_parity,
+                                 M.m_parity(m) + A.word_parity(alpha) + 1)
         for N in (M, AInfModule(A, M.space, table, 3)):
             rep = check_module_units(N, cap)
             assert rep.to_dict() == reference_module_units(N, cap).to_dict()
@@ -390,7 +413,9 @@ def test_units_visit_the_table_entries():
         a, a2 = rng.choice([(a[:k], a[k:]) for a in A.words(3, min_len=2)
                             if e in a for k in range(len(a) + 1)])
         v = rng.choice(V.space.names)
-        table[(a, v, a2)] = Vector.basis(R, v, random_scalar(R, rng, True))
+        table[(a, v, a2)] = term(rng, R, V.space.names, V.v_parity,
+                                 A.word_parity(a) + V.v_parity(v)
+                                 + A.word_parity(a2) + 1)
         for W in (V, TableBimodule(A, A, V.space, table)):
             rep = check_bimodule_units(W, cap)
             assert rep.to_dict() \

@@ -2,6 +2,8 @@
 homotopy, augmentation detection, the Maurer-Cartan criterion, and matrix
 factorizations."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from ainfkit.fixtures import (dga_rank2, module_from_classical, module_pqab,
                               trivial_algebra)
 from ainfkit.graded import GradedSpace, Grading, Vector, sign
 from ainfkit.report import UNDECIDED
+from ainfkit import vanish
 from ainfkit.rings import (Integers, IntegersMod, PolynomialRing, Rationals,
                            RingHom, constants_hom, evaluation_hom,
                            inclusion_to_rationals, reduction_mod)
@@ -380,6 +383,47 @@ def test_mf_parity_preserving_entry_is_rejected():
     rep = mf_check(F)
     assert not rep.passed
     assert rep.details["odd_operator"] == "FAIL"
+
+
+def parity_preserving_mf(seed):
+    """A seeded random factorization over F7 of ranks 0-2 whose d has a
+    nonzero parity-preserving entry, or None."""
+    rng = random.Random(seed)
+    even, odd = rng.randint(0, 2), rng.randint(0, 2)
+    n = even + odd
+    d = [[rng.randrange(7) for _ in range(n)] for _ in range(n)]
+    F = MatrixFactorization(F7, even, odd, d, rng.randrange(7))
+    if any(d[i][j] for i in range(n) for j in range(n)
+           if F.basis_parity(i) == F.basis_parity(j)):
+        return F
+    return None
+
+
+def test_mf_parity_preserving_reports_are_pinned(monkeypatch):
+    # the companion module of such a d would not be odd, so it is never
+    # built; the report is the one the built module gave: module axioms
+    # FAIL and the two verdicts agree
+    monkeypatch.setattr(vanish, "mf_module", None)
+    pinned = {
+        0: "(('entry', 0, 0), 3, 1)", 1: "(('entry', 0, 1), 0, 1)",
+        52: "('d has a parity-preserving entry', None, None)",
+        54: "('d has a parity-preserving entry', None, None)"}
+    for seed, witness in pinned.items():
+        square = "'PASS'" if "parity" in witness else "'FAIL'"
+        assert mf_check(parity_preserving_mf(seed)).to_dict() == {
+            "name": "matrix-factorization",
+            "statement": "d^2 = W.Id and the companion curved module is "
+                         "valid",
+            "cap": 3, "verdict": "FAIL", "witness": witness,
+            "details": {"module_axioms": "'FAIL'", "odd_operator": "'FAIL'",
+                        "paths_agree": "True", "square_identity": square}}
+    for seed in range(300):
+        F = parity_preserving_mf(seed)
+        if F is not None:
+            rep = mf_check(F)
+            assert rep.verdict == "FAIL", seed
+            assert rep.details["module_axioms"] == "FAIL", seed
+            assert rep.details["paths_agree"] is True, seed
 
 
 def test_mf_companion_module_axioms_directly():
