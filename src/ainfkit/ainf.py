@@ -219,41 +219,61 @@ def support_words(entries: Dict[Tuple[Word, Any, Word], Vector],
     They are made lazily, one (head, len(alpha)) group at a time, split by
     len(alpha2) when alpha is empty, so an algebra's and a module's come
     one length at a time.  Each group is read off indexes of the entries
-    by shape (h, len(alpha), len(alpha2)) and letter.
+    by shape (h, len(alpha), len(alpha2)) and letter, and of each side's
+    family by length and image letter; each letter index is built the
+    first time a group reads it.
     """
     by_shape: Dict[Tuple, list] = {}
-    slots: Tuple[Dict, Dict] = ({}, {})  # per side: shape -> letter -> slots
     tops: Dict[Any, list] = {}
     for key, val in entries.items():
         a, h, a2 = key
-        shape = (h, len(a), len(a2))
-        by_shape.setdefault(shape, []).append(key)
-        for side, word in enumerate((a, a2)):
-            for p, x in enumerate(word):
-                slots[side].setdefault(shape, {}).setdefault(x, []).append(
-                    (key, p))
+        by_shape.setdefault((h, len(a), len(a2)), []).append(key)
         if h is not None:
             tops.setdefault(h, []).append((a, a2, tuple(val.terms)))
-    # each side's family: its entry words by length, then by image letter
-    inner: Tuple[Dict, Dict] = ({}, {})
+    slots: Dict[Tuple, Dict] = {}  # (side, shape) -> letter -> slots
+
+    def slots_at(side: int, shape: Tuple) -> Dict:
+        """The (key, p) of the entries of this shape, by their letter at
+        position p on this side; built on first use."""
+        at = slots.get((side, shape))
+        if at is None:
+            at = slots[side, shape] = {}
+            for key in by_shape.get(shape, ()):
+                for p, x in enumerate(key[2 * side]):
+                    at.setdefault(x, []).append((key, p))
+        return at
+
+    # each side's family: its entry words by length
+    by_len: Tuple[Dict, Dict] = ({}, {})
     for side, A in enumerate((left, right)):
         if A is not None:
-            for w, val in A.b.table.items():
-                for (x,) in val.terms:
-                    inner[side].setdefault(len(w), {}).setdefault(
-                        x, []).append(w)
+            for w in A.b.table:
+                by_len[side].setdefault(len(w), []).append(w)
+    by_image: Dict[Tuple[int, int], Dict] = {}
+
+    def images_at(side: int, k: int) -> Dict:
+        """The side's entry words of length k by the letters of their
+        images; built on first use."""
+        at = by_image.get((side, k))
+        if at is None:
+            at = by_image[side, k] = {}
+            table = (left, right)[side].b.table
+            for w in by_len[side][k]:
+                for (x,) in table[w].terms:
+                    at.setdefault(x, []).append(w)
+        return at
     lkey, rkey = _enumeration_key(left), _enumeration_key(right)
 
     def group(h, n: int, right_lengths: Iterable[int]) -> list:
         out = set()
         for n2 in right_lengths:
-            for side, by_len in enumerate(inner):
-                for k, by_letter in by_len.items():
-                    at = slots[side].get((h, n - k + 1, n2) if side == 0
-                                         else (h, n, n2 - k + 1))
+            for side in (0, 1):
+                for k in by_len[side]:
+                    at = slots_at(side, (h, n - k + 1, n2) if side == 0
+                                  else (h, n, n2 - k + 1))
                     if not at:
                         continue
-                    for x, ws in by_letter.items():
+                    for x, ws in images_at(side, k).items():
                         for (a, _, a2), p in at.get(x, ()):
                             for w in ws:
                                 out.add((_spliced(a, p, w), h, a2)

@@ -73,7 +73,7 @@ def parse_coeff(ring: Ring, raw: Any) -> Any:
                           parse_coeff(ring.base, c)))
         return ring.normalize(terms)
     if isinstance(ring, Rationals):
-        return Fraction(str(raw))
+        return ring.normalize(Fraction(str(raw)))
     if isinstance(ring, (Integers, IntegersMod)):
         return ring.normalize(int(raw))
     raise UnsupportedRing("no coefficient syntax for %r" % (ring,))

@@ -18,6 +18,7 @@ for producing genuine A-infinity examples out of dg-algebras.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from .ainf import (AInfAlgebra, AInfModule, AInfMorphism, CurvedDga,
@@ -35,9 +36,8 @@ def random_scalar(ring: Ring, rng: random.Random, nonzero: bool = False):
         v = rng.randint(-3, 3)
         return v if (v or not nonzero) else 1
     if isinstance(ring, Rationals):
-        from fractions import Fraction
-        v = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        return v if (v or not nonzero) else Fraction(1)
+        v = ring.normalize(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        return v if (v or not nonzero) else 1
     raise ValueError("no random scalars for %s" % ring.describe())
 
 

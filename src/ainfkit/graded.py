@@ -189,7 +189,8 @@ class Vector:
     def __repr__(self):
         if not self.terms:
             return "0"
-        return " + ".join("%r*%r" % (c, w) for w, c in sorted(
+        render = self.ring.render
+        return " + ".join("%s*%r" % (render(c), w) for w, c in sorted(
             self.terms.items(), key=lambda t: repr(t[0])))
 
 

@@ -98,8 +98,10 @@ def solve_field(ring: Ring, rows: List[List[Any]], rhs: List[Any]) -> Optional[L
     return x
 
 
-def kernel_basis_field(ring: Ring, rows: List[List[Any]]) -> List[List[Any]]:
-    """Basis of the null space of A over a field."""
+def kernel_basis_field(ring: Ring,
+                       rows: List[List[Any]]) -> List[Dict[int, Any]]:
+    """Basis of the null space of A over a field, each basis vector a map
+    from column to nonzero entry: one per free column, which holds one."""
     n = len(rows[0]) if rows else 0
     pivots = _eliminate(ring, [_sparse(ring, row) for row in rows], n)
     pivot_cols = {c for (_, c) in pivots}
@@ -107,10 +109,10 @@ def kernel_basis_field(ring: Ring, rows: List[List[Any]]) -> List[List[Any]]:
     for free in range(n):
         if free in pivot_cols:
             continue
-        v = [ring.zero] * n
-        v[free] = ring.one
+        v = {free: ring.one}
         for prow, c in pivots:
-            v[c] = ring.neg(prow.get(free, ring.zero))
+            if free in prow:
+                v[c] = ring.neg(prow[free])
         basis.append(v)
     return basis
 

@@ -3,7 +3,9 @@
 Supported ring kinds:
 
 * ``Integers()``           -- the ring of integers, values are python ints
-* ``Rationals()``          -- exact rationals, values are ``fractions.Fraction``
+* ``Rationals()``          -- exact rationals; an integral value is a python
+  int and any other a ``fractions.Fraction`` (so integral arithmetic stays
+  on ints), and both print as ``Fraction`` does
 * ``IntegersMod(n)``       -- Z/n for n >= 2, values are ints in [0, n); a
   modulus whose primality cannot be decided exactly is refused
 * ``PolynomialRing(base, vars)`` -- multivariate polynomials over a field or
@@ -11,6 +13,8 @@ Supported ring kinds:
   declared order.  Values are canonical tuples of (exponent-tuple, coeff).
 
 All arithmetic is exact; there is no floating point anywhere in this package.
+``Ring.render`` prints a value; every report and message that shows a bare
+coefficient goes through it (inside a witness, as a ``Coefficient``).
 """
 
 from __future__ import annotations
@@ -113,6 +117,10 @@ class Ring:
     def is_field(self) -> bool:
         return False
 
+    def render(self, a: Any) -> str:
+        """How a report prints the value ``a``."""
+        return repr(a)
+
     def describe(self) -> str:
         raise NotImplementedError
 
@@ -159,21 +167,36 @@ class Integers(Ring):
         return "Z"
 
 
-class Rationals(Ring):
-    def normalize(self, v):
-        return Fraction(v)
+def _integral(f: Fraction) -> Any:
+    """A Fraction with denominator 1 as its int numerator."""
+    return f.numerator if f.denominator == 1 else f
 
-    zero = Fraction(0)
-    one = Fraction(1)
+
+class Rationals(Ring):
+    """Q with an integral value kept as an int; ``render`` prints every
+    value as its Fraction."""
+
+    def normalize(self, v):
+        return v if type(v) is int else _integral(Fraction(v))
+
+    zero = 0
+    one = 1
 
     def add(self, a, b):
-        return a + b
+        r = a + b
+        return r if type(r) is int else _integral(r)
+
+    def sub(self, a, b):
+        r = a - b
+        return r if type(r) is int else _integral(r)
 
     def neg(self, a):
-        return -a
+        r = -a
+        return r if type(r) is int else _integral(r)
 
     def mul(self, a, b):
-        return a * b
+        r = a * b
+        return r if type(r) is int else _integral(r)
 
     def is_unit(self, a):
         return a != 0
@@ -181,12 +204,15 @@ class Rationals(Ring):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("division by zero in Q")
-        return 1 / Fraction(a)
+        return _integral(1 / Fraction(a))
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
 
     is_field = True
+
+    def render(self, a):
+        return repr(Fraction(a))
 
     def describe(self):
         return "Q"
@@ -333,6 +359,12 @@ class PolynomialRing(Ring):
             total = self.base.add(total, term)
         return total
 
+    def render(self, a: Poly) -> str:
+        """The tuple form, each coefficient printed by the base ring."""
+        items = ["(%r, %s)" % (e, self.base.render(c)) for e, c in a]
+        return "(%s,)" % items[0] if len(items) == 1 else \
+            "(%s)" % ", ".join(items)
+
     def truncate_degree(self, a: Poly, var: str, below: int) -> Poly:
         """Drop all terms whose exponent of ``var`` is >= ``below``."""
         i = self.variables.index(var)
@@ -340,6 +372,20 @@ class PolynomialRing(Ring):
 
     def describe(self):
         return "%s[%s]" % (self.base.describe(), ",".join(self.variables))
+
+
+class Coefficient:
+    """A ring value inside a report's witness or details, which reports
+    print with repr: it prints as ``ring.render`` does."""
+
+    __slots__ = ("ring", "value")
+
+    def __init__(self, ring: Ring, value: Any):
+        self.ring = ring
+        self.value = value
+
+    def __repr__(self) -> str:
+        return self.ring.render(self.value)
 
 
 class RingHom:
@@ -377,7 +423,8 @@ def constants_hom(poly: PolynomialRing) -> RingHom:
 def evaluation_hom(poly: PolynomialRing, point: Sequence[Any]) -> RingHom:
     pt = [poly.base.normalize(x) for x in point]
     return RingHom(poly, poly.base, lambda v: poly.evaluate(v, pt),
-                   "%s->eval%r" % (poly.describe(), tuple(pt)))
+                   "%s->eval%r" % (poly.describe(), tuple(
+                       Coefficient(poly.base, x) for x in pt)))
 
 
 def ring_from_descriptor(desc: dict) -> Ring:

@@ -33,7 +33,8 @@ from .graded import (GradedSpace, Grading, Vector, Word, cached,
                      insert_blocks, sign)
 from .linalg import solve_linear
 from .report import FAIL, PASS, UNDECIDED, CheckReport
-from .rings import PolynomialRing, Ring, RingHom, UnsupportedRing
+from .rings import (Coefficient, PolynomialRing, Ring, RingHom,
+                    UnsupportedRing)
 
 
 class UnsupportedStructure(Exception):
@@ -145,7 +146,8 @@ class AugmentationMap:
             self.values[x] = c
         got = self.ell(classical_curvature(A))
         if got != self.ring.one:
-            raise ValueError("l(m_0(1)) = %r, not 1" % (got,))
+            raise ValueError("l(m_0(1)) = %s, not 1"
+                             % self.ring.render(got))
 
     def ell(self, vec: Vector) -> Any:
         """l on a vector over unshifted generator names."""
@@ -212,15 +214,20 @@ def check_curvature_commutator(M: ModuleLike, aug: AugmentationMap,
     return rep
 
 
-def _series_contraction(B: Callable, H: Callable) -> Callable:
-    """G = (sum_k E^k) H on one word (m, alpha), with E = 1 - [B, H] built
-    from the word maps B and H.  E strictly lowers the letter count, so the
-    series stops within len(alpha) + 1 steps."""
-    def E(vec: Vector) -> Vector:
-        return vec - vec.bind(H).bind(B) - vec.bind(B).bind(H)
+def _series_contraction(ring: Ring, B: Callable, H: Callable,
+                        keep: Callable = lambda fn: fn) -> Callable:
+    """G = (sum_k E^k) H on one word (m, alpha), with E = 1 - [B, H] on
+    words built from the word maps B and H and passed through ``keep``
+    (``cached`` for one check).  E strictly lowers the letter count, so
+    the series stops within len(alpha) + 1 steps."""
+    def E_word(pair) -> Vector:
+        return Vector.basis(ring, pair) - H(pair).bind(B) - B(pair).bind(H)
+
+    E = keep(E_word)
 
     def G(pair) -> Vector:
-        return perturbation_series(H(pair), E, 2 + len(pair[1]),
+        return perturbation_series(H(pair), lambda vec: vec.bind(E),
+                                   2 + len(pair[1]),
                                    "the contraction series")[1]
 
     return G
@@ -233,28 +240,29 @@ def kp_contraction(M: ModuleLike, aug: AugmentationMap, cap: int
     E = 1 - [B, H] strictly lowers the letter count (its identity part
     cancels against [B_0, H]), so the geometric series is finite on every
     word; no truncation or tolerance is involved.  The check runs on word
-    maps cached for this call: B^M, and G on basis words, G being linear.
-    The returned G maps vectors and caches nothing.
+    maps cached for this call: B^M, H, E, and G on basis words, G being
+    linear.  The returned G maps vectors and caches nothing.
     """
     if aug.A is not M.algebra and aug.A.b.table != M.algebra.b.table:
         raise ValueError("augmentation is for a different algebra")
+    ring = M.ring
     H = h_operator(M, aug)
 
     def B(pair) -> Vector:
         return module_coderivation(M, pair[0], pair[1])
 
-    G_word = _series_contraction(B, H)
+    G_word = _series_contraction(ring, B, H)
 
     def G(vec: Vector) -> Vector:
         return vec.bind(G_word)
 
     Bc = cached(B)
-    Gc = cached(_series_contraction(Bc, H))
+    Gc = cached(_series_contraction(ring, Bc, cached(H), cached))
     rep = CheckReport("augmentation-contraction", "[B, G] = 1 (.) 1^(x)",
                       cap)
     for word in module_words(M, cap):
         got = Gc(word).bind(Bc) + Bc(word).bind(Gc)
-        if got != Vector.basis(M.ring, word):
+        if got != Vector.basis(ring, word):
             rep.fail((word, "the word itself", got))
             break
     return G, rep
@@ -396,7 +404,7 @@ def detect_augmentation(A: AInfAlgebra) -> AugmentationSearch:
                 return AugmentationSearch(FOUND, aug)
             return AugmentationSearch(
                 NONEXISTENT, reason="rank one: l(W.e) = W.l(e) can be 1 "
-                "only when the curvature %r is a unit" % (w,))
+                "only when the curvature %s is a unit" % ring.render(w))
         return AugmentationSearch(
             UNDECIDED, reason="polynomial coefficients with more than one "
             "generator: linear solving is not attempted")
@@ -407,7 +415,8 @@ def detect_augmentation(A: AInfAlgebra) -> AugmentationSearch:
     if sol is None:
         return AugmentationSearch(
             NONEXISTENT, reason="the equation sum_x c_x.l(x) = 1 has no "
-            "solution over %s (coefficients %r)" % (ring.describe(), coeffs))
+            "solution over %s (coefficients %r)" % (ring.describe(), [
+                Coefficient(ring, v) for v in coeffs]))
     aug = AugmentationMap(A, dict(zip(evens, sol)))
     return AugmentationSearch(FOUND, aug)
 
@@ -583,7 +592,8 @@ def mf_check(F: MatrixFactorization, cap: int = 3) -> CheckReport:
             if sq[i][j] != want:
                 square_ok = False
                 if rep.verdict == PASS:
-                    rep.fail((("entry", i, j), want, sq[i][j]))
+                    rep.fail((("entry", i, j), Coefficient(ring, want),
+                              Coefficient(ring, sq[i][j])))
     rep.details["square_identity"] = PASS if square_ok else FAIL
     odd_ok = F.is_odd()
     rep.details["odd_operator"] = PASS if odd_ok else FAIL

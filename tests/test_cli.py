@@ -295,6 +295,40 @@ def test_kp_vanish_and_gamma_agreement(write, capsys):
         assert "FAIL" not in out
 
 
+# Over Q, DOC_CURVED's 6 is not -1, so Q = 1 - lambda epsilon fails with
+# integral coefficients; an integral rational is an int inside the package
+# and still prints as its Fraction.
+Q_HOMOTOPY_WITNESS = (
+    "((('x', (), (('u',), ('u',))), ()), "
+    "Fraction(1, 1)*(('x', (), (('u',), ('u',))), ()), "
+    "Fraction(7, 1)*(('x', ('u',), ()), ()) + "
+    "Fraction(1, 1)*(('x', (), (('u',), ('u',))), ()))")
+
+
+def test_integral_rational_witness_prints_as_a_fraction(write, capsys):
+    path = write(dict(DOC_CURVED, ring={"kind": "Q"}))
+    code, out = run(capsys, "check-q-homotopy", path, "--cap", "3")
+    assert code == 1
+    assert out == (
+        "module:M                                 [FAIL] q-homotopy (BH + "
+        "HB = 1 - lambda epsilon on the reduced word space; cap=3)\n"
+        "  witness: %s\n" % Q_HOMOTOPY_WITNESS)
+    code, out = run(capsys, "check-q-homotopy", path, "--cap", "3",
+                    "--format", "json")
+    assert code == 1
+    assert out == json.dumps([{
+        "cap": 3, "details": {}, "name": "q-homotopy",
+        "statement": "BH + HB = 1 - lambda epsilon on the reduced word "
+                     "space",
+        "target": "module:M", "verdict": "FAIL",
+        "witness": Q_HOMOTOPY_WITNESS}], indent=2, sort_keys=True) + "\n"
+    doc = copy.deepcopy(DOC_GAMMA)
+    doc["ring"] = {"kind": "Q"}
+    assert cli.main(["check-algebra", write(doc)]) == 2
+    assert capsys.readouterr().err == (
+        "error: augmentation 'l': l(m_0(1)) = Fraction(36, 1), not 1\n")
+
+
 def test_gamma_check_unsupported_with_differential(write, capsys):
     doc = copy.deepcopy(DOC_GAMMA)
     doc["dgas"]["D"]["curvature"] = [["e", "1"]]

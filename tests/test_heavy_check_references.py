@@ -1,12 +1,15 @@
-"""The letter decision of check_u_curvature and the per-call caches of
-kp_contraction and invert_homotopy, against their whole-word references.
+"""The letter decision of check_u_curvature, the per-call caches of
+kp_contraction and invert_homotopy, and the series-reusing certificate of
+ue_contraction, against their whole-word references.
 
 check_u_curvature decides d^2 = [c, -] on letters unless d is the
 full-Delta mutant, and enumerates every uword then or after a letter fails;
-kp_contraction checks [B, G] = 1 through word maps cached for the call;
-invert_homotopy keeps one cached B^M per module for the call.  The
-functions below keep the uncached forms they replaced.  The seeded tests
-run both forms on valid inputs, one-term mutants and full-Delta mutants and
+kp_contraction checks [B, G] = 1 through word maps cached for the call,
+E = 1 - [B, H] among them; invert_homotopy keeps one cached B^M per module
+for the call; ue_contraction certifies each closed element from the
+reduction series of its words.  The functions below keep the forms they
+replaced.  The seeded tests run both forms on valid inputs, one-term
+mutants, full-Delta mutants and contractions with a perturbed homotopy and
 assert equal reports (and, for the inversion, equal results or equal
 exceptions).  Wrong-parity mutants cannot be built, and an inversion
 between structures that are not modules is refused.
@@ -21,12 +24,16 @@ from ainfkit.adjoint import UAlgebra, check_u_curvature
 from ainfkit.ainf import (AInfAlgebra, AInfModule, HomElement,
                           check_module, compose_hom, hom_differential,
                           identity_hom, module_coderivation, module_words)
-from ainfkit.fixtures import random_hom_perturbation, random_scalar
-from ainfkit.graded import MultiOp, Vector, memoized
+from ainfkit.fixtures import (random_hom_perturbation, random_scalar,
+                              random_unital_table)
+from ainfkit.graded import MultiOp, Vector, cached, memoized
 from ainfkit.homotopy import (ObstructionElement, ObstructionWitness, TheoremViolation,
-                              _require_uncurved, _solve_multi, arity_part,
-                              extend_morphism, invert_homotopy)
+                              UeContraction, _certify, _require_uncurved,
+                              _solve_multi, arity_part, extend_morphism,
+                              invert_homotopy)
+from ainfkit.linalg import kernel_basis_field
 from ainfkit.report import FAIL, PASS, CheckReport
+from ainfkit.rings import IntegersMod, Rationals
 from ainfkit.vanish import (FOUND, UnsupportedStructure, detect_augmentation,
                             h_operator, kp_contraction, perturbation_series)
 
@@ -92,6 +99,79 @@ def reference_kp_contraction(M, aug, cap):
             rep.fail(((m, alpha), "the word itself", got_v))
             break
     return G, rep
+
+
+def reference_series_contraction(B, H):
+    """G = (sum_k E^k) H on one word, with E = 1 - [B, H] applied to whole
+    vectors and cached nowhere."""
+    def E(vec):
+        return vec - vec.bind(H).bind(B) - vec.bind(B).bind(H)
+
+    def G(pair):
+        return perturbation_series(H(pair), E, 2 + len(pair[1]),
+                                   "the contraction series")[1]
+
+    return G
+
+
+def reference_certify(C):
+    """The three checks of ue_contraction with every closed element
+    reduced afresh, d read as the differential followed by a normal form,
+    and the kernel vectors read densely."""
+    R, U = C.ring, C.U
+    rep = CheckReport("ue-contraction",
+                      "1 - [d,H] fixes the base, iterates into it, and "
+                      "contracts closed elements onto it", C.cap)
+
+    @cached
+    def e_word(u):
+        dh = C.h_op(u).bind(U.differential).bind(U.normal_form)
+        hd = U.differential(u).bind(U.normal_form).bind(C.h_op)
+        return Vector.basis(R, u) - dh - hd
+
+    def e_op(vec):
+        return vec.bind(e_word)
+
+    with memoized(U, "d_letter", "differential", "ue_differential"):
+        words = list(U.uwords(C.cap, eta_free=True))
+        for u in words:
+            uvec = Vector.basis(R, u)
+            if C.in_base(uvec) and e_op(uvec) != uvec:
+                rep.fail(((u, "base-identity"), uvec, e_op(uvec)))
+                break
+        max_ell = 0
+        if rep.passed:
+            for u in words:
+                try:
+                    ell = perturbation_series(Vector.basis(R, u), e_op,
+                                              C.limit + 1, "reduction",
+                                              C.in_base)[0]
+                except UnsupportedStructure as exc:
+                    rep.fail(((u, "nilpotence"), "a base element",
+                              exc.witness))
+                    break
+                max_ell = max(max_ell, ell)
+        rep.details["max_steps"] = max_ell
+        if rep.passed:
+            index = {u: i for i, u in enumerate(words)}
+            rows = [[R.zero] * len(words) for _ in words]
+            for j, u in enumerate(words):
+                for u2, c in U.ue_differential(u).terms.items():
+                    rows[index[u2]][j] = c
+            kb = kernel_basis_field(R, rows)
+            rep.details["closed_rank"] = len(kb)
+            for sol in kb:
+                u = Vector(R)
+                for j in range(len(words)):
+                    u.add_term(words[j], sol.get(j, R.zero))
+                ell, passed, a = perturbation_series(u, e_op, C.limit,
+                                                     "reduction", C.in_base)
+                hhat = passed.bind(C.h_op)
+                if u - a != hhat.bind(U.ue_differential):
+                    rep.fail(((u, "certificate", ell), u - a,
+                              hhat.bind(U.ue_differential)))
+                    break
+    return rep
 
 
 def reference_invert_homotopy(phi, psi, h, ell, cap):
@@ -192,6 +272,45 @@ def assert_algebra_parity_refused(A, rng):
 def curvature_cases(seed):
     """A twisted dga and its one-term mutant."""
     return algebra_cases(seed)[:2]
+
+
+class PerturbedContraction(UeContraction):
+    """The merge homotopy H with one perturbation: "base" makes H the
+    identity on the base letters, so 1 - [d, H] moves them; "scaled"
+    doubles H on two-letter words, so a reduction can stall."""
+
+    def __init__(self, A, cap, kind):
+        super().__init__(A, cap)
+        self.kind = kind
+
+    def h_op(self, u):
+        if self.kind == "base" and len(u) == 1 and len(u[0]) == 1:
+            return Vector.basis(self.ring, u)
+        v = super().h_op(u)
+        if self.kind == "scaled" and len(u) == 2:
+            return v.scaled(self.ring.from_int(2))
+        return v
+
+
+def uncurved_table(seed):
+    """A random rank-3 unital table over Z/7 or Q without its arity-0
+    part.  No structure relation is imposed, so d^2 = 0 can fail on U_e,
+    and with it a certificate."""
+    rng = random.Random(seed)
+    R = IntegersMod(7) if seed % 2 else Rationals()
+    A = random_unital_table(R, 3, 3, rng)
+    b = MultiOp(R, 1, 3, {w: v for w, v in A.b.table.items() if w})
+    return AInfAlgebra(A.space, A.unit, b)
+
+
+def contraction_cases(seed):
+    """The uncurved table of the seed, and its twisted dga when that is
+    uncurved, each with the merge homotopy and its two perturbations."""
+    algebras = [uncurved_table(seed)]
+    tw = algebra_cases(seed)[0]
+    if tw.curvature_letterwise().is_zero():
+        algebras.append(tw)
+    return [(A, kind) for A in algebras for kind in (None, "base", "scaled")]
 
 
 def hom_mutant(phi, rng):
@@ -320,16 +439,36 @@ def test_cached_contraction_matches_the_whole_vector_reference():
         aug = search.augmentation
         assert_parity_refused(M, random.Random(seed))
         for kind, N in enumerate((M, scaled)):
-            for cap in (2, 3, 4):
+            G_series = reference_series_contraction(
+                lambda p: module_coderivation(N, *p), h_operator(N, aug))
+            for cap in (2, 3, 4, 5) if seed < 4 else (2, 3, 4):
                 G, rep = kp_contraction(N, aug, cap)
                 G_ref, ref = reference_kp_contraction(N, aug, cap)
                 assert rep.to_dict() == ref.to_dict(), (seed, kind, cap)
-                seen.setdefault(kind, set()).add(rep.verdict)
+                seen.setdefault(kind, set()).add((rep.verdict,
+                                                  N.ring.describe()))
                 for word in module_words(N, 2):
                     v = Vector.basis(N.ring, word)
-                    assert G(v) == G_ref(v)
-    assert seen[0] == {PASS}
-    assert FAIL in seen[1]
+                    assert G(v) == G_ref(v) == G_series(word)
+    assert seen[0] == {(PASS, "Z/7"), (PASS, "Q")}
+    assert {(FAIL, "Z/7"), (FAIL, "Q")} <= seen[1]
+
+
+def test_series_certificate_matches_the_recomputing_reference():
+    seen = {}
+    for seed in range(12):
+        for A, kind in contraction_cases(seed):
+            for cap in (2, 3, 4, 5) if seed < 2 else (2, 3, 4):
+                C = (UeContraction(A, cap) if kind is None
+                     else PerturbedContraction(A, cap, kind))
+                rep = _certify(C)
+                assert rep.to_dict() == reference_certify(C).to_dict(), \
+                    (seed, kind, cap)
+                got = rep.witness[0][1] if rep.witness else PASS
+                seen.setdefault(got, set()).add(A.ring.describe())
+    # every verdict of the check is reached over both rings
+    assert seen == {k: {"Z/7", "Q"} for k in (
+        PASS, "base-identity", "nilpotence", "certificate")}, seen
 
 
 @pytest.mark.parametrize("seed", range(16))

@@ -131,14 +131,17 @@ def test_test_only_definitions_only_shrink():
 
 
 class _CacheSites(ast.NodeVisitor):
-    """Where the package memoizes: functools caches anywhere, and calls of
-    ``cached`` outside a function body or inside an ``__init__``, as
-    (line, what).  Decorators and default values run where the function is
-    defined, so they count at the enclosing level."""
+    """Where the package memoizes: functools caches anywhere, and any use
+    of ``cached`` (a call, a decorator or a value handed on) outside a
+    function body or inside an ``__init__``, as (line, what); every other
+    use is recorded by its outermost function in ``per_call``.  Decorators
+    and default values run where the function is defined, so they count at
+    the enclosing level."""
 
     def __init__(self):
         self.scope = []     # names of the enclosing functions
         self.found = []
+        self.per_call = set()
 
     def visit_FunctionDef(self, node):
         for n in node.decorator_list + node.args.defaults \
@@ -160,6 +163,8 @@ class _CacheSites(ast.NodeVisitor):
         if (node.attr in ("lru_cache", "cache")
                 and getattr(node.value, "id", None) == "functools"):
             self.found.append((node.lineno, "functools." + node.attr))
+        if node.attr == "cached":
+            self._use(node)
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node):
@@ -168,22 +173,32 @@ class _CacheSites(ast.NodeVisitor):
                            for a in node.names
                            if a.name in ("lru_cache", "cache")]
 
-    def visit_Call(self, node):
-        name = getattr(node.func, "id", getattr(node.func, "attr", None))
-        if name == "cached" and (not self.scope or self.scope[-1]
-                                 == "__init__"):
+    def _use(self, node):
+        if not self.scope or self.scope[-1] == "__init__":
             self.found.append((node.lineno, "cached outside one call"))
-        self.generic_visit(node)
+        else:
+            self.per_call.add(self.scope[0])
+
+    def visit_Name(self, node):
+        if node.id == "cached":
+            self._use(node)
 
 
 def test_caches_live_for_one_call():
     """A word cache lives for one check or construction call: no functools
     cache in the package, and no ``cached`` map made at module or class
-    level or in a constructor, where it would outlive the call."""
+    level or in a constructor, where it would outlive the call.  The
+    contraction certificate's residual map (a decorator in
+    ``homotopy._certify``) and kp_contraction's E (``cached`` handed to
+    the series builder) are among the per-call sites."""
     found = []
+    per_call = {}
     for path in sorted(SRC.glob("*.py")):
         sites = _CacheSites()
         sites.visit(ast.parse(path.read_text(encoding="utf-8")))
         found += ["%s:%d %s" % (path.name, line, what)
                   for line, what in sites.found]
+        per_call[path.name] = sites.per_call
     assert found == []
+    assert "_certify" in per_call["homotopy.py"]
+    assert "kp_contraction" in per_call["vanish.py"]

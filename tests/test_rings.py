@@ -135,8 +135,51 @@ def test_solve_polynomial_refused():
         solve_linear(P, [[P.one]], [P.one])
 
 
+RATIONALS = st.one_of(st.integers(-10 ** 9, 10 ** 9),
+                      st.fractions(max_denominator=60))
+
+
+@settings(max_examples=300, deadline=None)
+@given(RATIONALS, RATIONALS)
+def test_rational_arithmetic_agrees_with_fraction(a, b):
+    fa, fb = Fraction(a), Fraction(b)
+    pairs = [(Q.add(a, b), fa + fb), (Q.mul(a, b), fa * fb),
+             (Q.neg(a), -fa), (Q.sub(a, b), fa - fb)]
+    if fa:
+        pairs.append((Q.inv(a), 1 / fa))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            Q.inv(a)
+    for got, want in pairs:
+        assert got == want
+        # every result is normalized: an int exactly when integral
+        assert type(got) is (int if want.denominator == 1 else Fraction)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(), st.fractions()))
+def test_rational_normalize_and_render(x):
+    v = Q.normalize(x)
+    assert v == x
+    assert (type(v) is int) == (Fraction(x).denominator == 1)
+    assert Q.render(v) == Q.render(x) == repr(Fraction(x))
+    P = PolynomialRing(Q, ["x", "y"])
+    p = P.add(P.constant(v), P.variable("y"))
+    want = (((0, 1), Fraction(1)),) + (
+        (((0, 0), Fraction(x)),) if x else ())
+    assert P.render(p) == repr(want)
+
+
+def densified(ring, basis, n):
+    """Sparse kernel vectors as dense rows of length n; every entry a
+    vector holds is nonzero."""
+    assert all(not ring.is_zero(c) for v in basis for c in v.values())
+    return [[v.get(j, ring.zero) for j in range(n)] for v in basis]
+
+
 def test_kernel_basis():
-    ker = kernel_basis_field(F7, [[1, 2, 3]])
+    ker = densified(F7, kernel_basis_field(F7, [[1, 2, 3]]), 3)
+    assert ker == dense_kernel(F7, [[1, 2, 3]])
     assert len(ker) == 2
     for v in ker:
         assert (v[0] + 2 * v[1] + 3 * v[2]) % 7 == 0
@@ -241,7 +284,9 @@ def test_sparse_elimination_matches_the_dense_reference(ring):
     for rows, rhs in cases:
         want = dense_solve(ring, rows, rhs)
         assert solve_field(ring, rows, rhs) == want
-        assert kernel_basis_field(ring, rows) == dense_kernel(ring, rows)
+        n = len(rows[0]) if rows else 0
+        assert densified(ring, kernel_basis_field(ring, rows), n) \
+            == dense_kernel(ring, rows)
         kinds.add(want is None)
     assert kinds == {True, False}
 

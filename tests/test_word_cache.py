@@ -177,11 +177,17 @@ def test_no_cache_outlives_its_call(monkeypatch):
     before = dict(vars(U))
     assert check_u_curvature(U, 3).passed
     assert vars(U) == before
-    C, rep = ue_contraction(module_pqab(IntegersMod(7), 1, 1, 0, 0)[0]
-                            .algebra, 3)
-    assert rep.passed
-    assert not any(hasattr(v, "memo") for obj in (C, C.U)
-                   for v in vars(obj).values())
+    made = recorded_caches(monkeypatch)
+    A = module_pqab(IntegersMod(7), 1, 1, 0, 0)[0].algebra
+    for _ in range(2):
+        C, rep = ue_contraction(A, 3)
+        assert rep.passed
+        assert not any(hasattr(v, "memo") for obj in (C, C.U)
+                       for v in vars(obj).values())
+    # each call fills a residual cache of its own
+    residuals = [memo for name, memo in made if name == "residual"]
+    assert len(residuals) == 2 and residuals[0] is not residuals[1]
+    assert residuals[0] == residuals[1] != {}
 
 
 def test_memoized_scope():
@@ -209,15 +215,40 @@ def holds_memo(fn, seen=()):
                for cell in getattr(fn, "__closure__", None) or ())
 
 
+def recorded_caches(monkeypatch):
+    """A list that collects (name of the word map, memo) for every cache
+    the CALLERS make from now on."""
+    made = []
+
+    def recording(fn):
+        lookup = cached(fn)
+        made.append((fn.__name__, lookup.memo))
+        return lookup
+
+    for mod in CALLERS:
+        monkeypatch.setattr(mod, "cached", recording)
+    return made
+
+
 def test_kp_and_inversion_caches_live_for_one_call(monkeypatch):
     assert holds_memo(cached(lambda w: w))
     _, M = module_pqab(IntegersMod(7), 2, 3, 1, 5)
     aug = detect_augmentation(M.algebra).augmentation
-    G, rep = kp_contraction(M, aug, 3)
-    assert rep.passed
-    assert not holds_memo(G)
-    v = Vector.basis(M.ring, ("x", ("e", "u")))
-    assert G(v) == G(v) and not G(v).is_zero()
+    made = recorded_caches(monkeypatch)
+    for _ in range(2):
+        G, rep = kp_contraction(M, aug, 3)
+        assert rep.passed
+        assert not holds_memo(G)
+        v = Vector.basis(M.ring, ("x", ("e", "u")))
+        assert G(v) == G(v) and not G(v).is_zero()
+    # each call fills caches of its own for B^M, H, E and G, and the
+    # returned G reaches none of them
+    names = [name for name, _ in made]
+    assert names[:len(names) // 2] == names[len(names) // 2:]
+    assert sorted(names[:len(names) // 2]) == ["B", "E_word", "G", "H"]
+    memos = [memo for _, memo in made]
+    assert len({id(memo) for memo in memos}) == len(memos)
+    assert all(memos)
 
     calls = [0]
     coderivation = ainf.module_coderivation
